@@ -16,12 +16,6 @@
 //!   with cross-entropy; accurate on day 0, prone to overfitting the
 //!   training instance.
 //!
-//! Plus the contrastive-loss relative discussed in the related work:
-//!
-//! * [`SeleBuilder`] — **SELE** \[18\]: a pairwise-contrastive Siamese
-//!   embedding without STONE's augmentation/floorplan mining, requiring
-//!   monthly recalibration.
-//!
 //! All implement [`stone_dataset::Framework`], so the experiment runner in
 //! `stone-eval` treats them interchangeably with STONE.
 
@@ -32,10 +26,8 @@ mod gift;
 mod knn;
 mod ltknn;
 mod scnn;
-mod sele;
 
 pub use gift::{GiftBuilder, GiftLocalizer};
 pub use knn::{KnnBuilder, KnnLocalizer};
 pub use ltknn::{LtKnnBuilder, LtKnnLocalizer};
 pub use scnn::{ScnnBuilder, ScnnLocalizer};
-pub use sele::{SeleBuilder, SeleLocalizer};

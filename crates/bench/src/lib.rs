@@ -7,7 +7,7 @@
 //!   defaults sized for single-core CI machines.
 
 use stone::{StoneBuilder, StoneConfig, TrainerConfig};
-use stone_baselines::{GiftBuilder, KnnBuilder, LtKnnBuilder, ScnnBuilder, SeleBuilder};
+use stone_baselines::{GiftBuilder, KnnBuilder, LtKnnBuilder, ScnnBuilder};
 use stone_dataset::{Framework, LongTermSuite, SuiteConfig, SuiteKind};
 use stone_eval::{Experiment, ExperimentReport};
 
@@ -60,22 +60,16 @@ pub fn stone_config_for(kind: SuiteKind) -> StoneConfig {
 }
 
 /// The five frameworks of the paper's comparison (Sec. V.A.3), in plot
-/// order, with STONE tuned for the suite. Set `STONE_WITH_SELE=1` to
-/// additionally evaluate the SELE contrastive baseline from the related work
-/// (Sec. II, \[18\]).
+/// order, with STONE tuned for the suite.
 #[must_use]
 pub fn roster(kind: SuiteKind) -> Vec<Box<dyn Framework>> {
-    let mut r: Vec<Box<dyn Framework>> = vec![
+    vec![
         Box::new(StoneBuilder::from_config(stone_config_for(kind))),
         Box::new(KnnBuilder::default()),
         Box::new(LtKnnBuilder::default()),
         Box::new(GiftBuilder::default()),
         Box::new(if is_full() { ScnnBuilder::default() } else { ScnnBuilder::quick() }),
-    ];
-    if std::env::var("STONE_WITH_SELE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        r.push(Box::new(SeleBuilder::default()));
-    }
-    r
+    ]
 }
 
 /// Runs the five-framework comparison on a suite.
@@ -123,11 +117,9 @@ mod tests {
 
     #[test]
     fn roster_has_five_frameworks() {
-        if std::env::var("STONE_WITH_SELE").is_err() {
-            let r = roster(SuiteKind::Office);
-            let names: Vec<&str> = r.iter().map(|f| f.name()).collect();
-            assert_eq!(names, vec!["STONE", "KNN", "LT-KNN", "GIFT", "SCNN"]);
-        }
+        let r = roster(SuiteKind::Office);
+        let names: Vec<&str> = r.iter().map(|f| f.name()).collect();
+        assert_eq!(names, vec!["STONE", "KNN", "LT-KNN", "GIFT", "SCNN"]);
     }
 
     #[test]

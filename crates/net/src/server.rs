@@ -12,7 +12,6 @@
 //! every connection (no new requests), answer everything already accepted,
 //! flush and half-close the write sides, join every thread.
 
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,7 +21,8 @@ use std::thread::JoinHandle;
 
 use stone_obs::metrics::{write_sample, write_type};
 use stone_serve::{
-    LocalizationServer, ModelRegistry, ServerConfig, ServerHandle, StatsSnapshot, VenueHandle,
+    LocalizationServer, LocateRequest, LocateResponse, ModelRegistry, ServeError, ServerConfig,
+    ServerHandle, StatsSnapshot,
 };
 
 use crate::codec::{
@@ -32,7 +32,7 @@ use crate::codec::{
 
 /// Live wire-level counters of one [`NetServer`], shared across its
 /// connection threads (relaxed atomics — same recording discipline as
-/// `stone-serve`'s `ServerStats`).
+/// `stone-serve`'s per-venue counters).
 #[derive(Debug, Default)]
 struct NetStats {
     connections_accepted: AtomicU64,
@@ -148,7 +148,8 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
     /// `registry` with a fresh inner [`LocalizationServer`] built from
-    /// `cfg`.
+    /// `cfg` (start it paused with [`ServerConfig::start_paused`] to pin
+    /// backpressure deterministically, then [`NetServer::resume`]).
     ///
     /// # Errors
     ///
@@ -157,21 +158,6 @@ impl NetServer {
         registry: Arc<ModelRegistry>,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
-    ) -> std::io::Result<Self> {
-        Self::start_with(LocalizationServer::start(registry, cfg), addr)
-    }
-
-    /// Puts a wire in front of an already-running [`LocalizationServer`] —
-    /// the composition point that lets tests start the inner server
-    /// *paused* ([`LocalizationServer::start_paused`]) to pin the
-    /// backpressure contract deterministically.
-    ///
-    /// # Errors
-    ///
-    /// Any [`std::io::Error`] from binding the listener.
-    pub fn start_with(
-        server: LocalizationServer,
-        addr: impl ToSocketAddrs,
     ) -> std::io::Result<Self> {
         // `STONE_TRACE=1` arms stage-span tracing for the whole process at
         // the moment the wire goes up — the ops-facing switch mirroring
@@ -182,6 +168,7 @@ impl NetServer {
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let server = LocalizationServer::start(registry, cfg);
         let shared = Arc::new(NetShared {
             accepting: AtomicBool::new(true),
             stats: NetStats::default(),
@@ -269,8 +256,8 @@ impl NetServer {
         for conn in &mut conns {
             // Readers exit on the EOF the half-close produced, after
             // submitting whatever complete frames they had already read;
-            // they only block in read(), never in submit (try_submit_with
-            // is non-blocking), so this join cannot deadlock.
+            // they only block in read(), never in submit (try_submit is
+            // non-blocking), so this join cannot deadlock.
             if let Some(reader) = conn.reader.take() {
                 let _ = reader.join();
             }
@@ -343,11 +330,6 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<NetShared>) -> Conn {
     Conn { stream, reader: Some(reader), writer: Some(writer) }
 }
 
-/// Most venues one connection memoizes a [`VenueHandle`] for. Real
-/// connections talk to one venue (a phone is in one building); the cap
-/// just keeps a hostile client cycling venue names from growing the map.
-const VENUE_CACHE_CAP: usize = 64;
-
 /// Reads frames off one connection, routes them by kind — scan requests
 /// feed the server's bounded queue, admin queries are answered from the
 /// telemetry surfaces — and exits on EOF, read error, or an unparseable
@@ -355,10 +337,6 @@ const VENUE_CACHE_CAP: usize = 64;
 /// errors are not recoverable in-stream).
 fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>) {
     let mut reader = BufReader::new(stream);
-    // Per-connection venue-handle cache: the first request for a venue
-    // pays the stats-map read lock, every later one records against the
-    // cached block lock-free (the satellite-1 hot path, wire side).
-    let mut venues: HashMap<String, VenueHandle> = HashMap::new();
     loop {
         let mut len_buf = [0u8; 4];
         if reader.read_exact(&mut len_buf).is_err() {
@@ -407,7 +385,7 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
         // know the client's send instant); 0 on the wire means none.
         let deadline = (req.deadline_us > 0)
             .then(|| std::time::Duration::from_micros(u64::from(req.deadline_us)));
-        let reply = move |result: Result<stone_serve::LocateResponse, stone_serve::ServeError>| {
+        let reply = move |result: Result<LocateResponse, ServeError>| {
             let result = match result {
                 Ok(resp) => Ok(WirePosition {
                     x: resp.position.x,
@@ -427,28 +405,13 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
         };
         // A v3 frame's trace id rides through to the executor's stage
         // spans; 0 (or an older client) lets the server mint its own.
-        let submitted = match venues.get(&req.venue) {
-            Some(vh) => {
-                vh.try_submit_with_deadline_traced(&req.rssi, deadline, req.trace_id, reply)
-            }
-            None if venues.len() < VENUE_CACHE_CAP => {
-                let vh = shared.handle.venue_handle(&req.venue);
-                let r =
-                    vh.try_submit_with_deadline_traced(&req.rssi, deadline, req.trace_id, reply);
-                venues.insert(req.venue.clone(), vh);
-                r
-            }
-            None => shared.handle.try_submit_with_deadline_traced(
-                &req.venue,
-                &req.rssi,
-                deadline,
-                req.trace_id,
-                reply,
-            ),
-        };
-        // QueueFull was already answered through the callback (that is the
-        // wire-visible shed); only a draining server ends the read loop.
-        if matches!(submitted, Err(stone_serve::ServeError::ShuttingDown)) {
+        let submitted = shared.handle.try_submit(
+            LocateRequest { venue: req.venue, rssi: req.rssi, deadline, trace_id: req.trace_id },
+            reply,
+        );
+        // A refusal (a shed, an unknown venue) was already answered through
+        // the callback; only a draining server ends the read loop.
+        if matches!(submitted, Err(ServeError::ShuttingDown)) {
             return;
         }
     }

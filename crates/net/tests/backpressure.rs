@@ -10,7 +10,7 @@ mod common;
 use std::time::Duration;
 
 use stone_net::{NetClient, NetServer, WireStatus};
-use stone_serve::{LocalizationServer, ServerConfig};
+use stone_serve::ServerConfig;
 
 const CAPACITY: usize = 4;
 const SENT: usize = 9;
@@ -22,17 +22,19 @@ fn overflow_is_shed_on_the_wire_and_ledgers_agree() {
 
     // Paused executors: the queue fills to exactly CAPACITY before any
     // request executes, so the shed set is deterministic.
-    let inner = LocalizationServer::start_paused(
+    let mut server = NetServer::start(
         registry,
+        "127.0.0.1:0",
         ServerConfig {
             max_batch: 16,
             max_wait: Duration::ZERO,
             queue_capacity: CAPACITY,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
-    );
-    let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+    )
+    .expect("bind ephemeral port");
 
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");

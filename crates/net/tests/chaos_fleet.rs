@@ -9,6 +9,7 @@
 //!   model, then serves again;
 //! * no expired or fast-failed request ever occupies a batch slot
 //!   (`batched + expired + fast_failed == completed`);
+//! * every aggregate counter and histogram is the sum of the venues';
 //! * the corrupt publish is rejected and the incumbent keeps serving.
 
 mod common;
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use stone_net::{ClientError, NetClient, NetServer, RetryPolicy, WireStatus};
-use stone_serve::{corrupt_blob, ChaosConfig, LocalizationServer, ModelRegistry, ServerConfig};
+use stone_serve::{corrupt_blob, ChaosConfig, ModelRegistry, ServerConfig};
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 120;
@@ -44,11 +45,13 @@ fn thread_count() -> usize {
 
 #[test]
 fn chaos_fleet_survives_with_wire_visible_failures() {
-    let idle_threads = thread_count();
-
     let suite = common::tiny_suite(31);
     let blob = common::tiny_localizer(&suite, 31).save();
     let scan = suite.train.records()[0].rssi.clone();
+    // Counted after training: the process-wide `stone-par` workers that
+    // training starts lazily live for the whole process and are not the
+    // server's to join.
+    let idle_threads = thread_count();
 
     let registry = Arc::new(ModelRegistry::new());
     assert_eq!(registry.publish_bytes("stable", &blob).unwrap(), 1);
@@ -62,19 +65,20 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
         Duration::from_millis(5),
         Some(3),
     );
-    let inner = LocalizationServer::start_with_chaos(
+    let mut server = NetServer::start(
         Arc::clone(&registry),
+        "127.0.0.1:0",
         ServerConfig {
             max_batch: 16,
             max_wait: Duration::ZERO,
             queue_capacity: 64,
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_millis(30),
+            chaos: Some(chaos),
             ..ServerConfig::default()
         },
-        chaos,
-    );
-    let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     // Persistent fleet connections, established before the baseline so the
@@ -179,6 +183,21 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
     let batched: u64 = stats.batch_hist.iter().enumerate().map(|(i, &n)| (i as u64 + 1) * n).sum();
     let fast_failed: u64 = stats.venues.iter().map(|v| v.fast_failed).sum();
     assert_eq!(batched + stats.expired + fast_failed, stats.completed);
+
+    // The aggregate is exactly the field-wise sum of the venue blocks.
+    let venues = &stats.venues;
+    assert_eq!(stats.queue_depth, venues.iter().map(|v| v.queue_depth).sum::<usize>());
+    assert_eq!(stats.enqueued, venues.iter().map(|v| v.enqueued).sum::<u64>());
+    assert_eq!(stats.completed, venues.iter().map(|v| v.completed).sum::<u64>());
+    assert_eq!(stats.rejected, venues.iter().map(|v| v.shed()).sum::<u64>());
+    assert_eq!(stats.expired, venues.iter().map(|v| v.expired).sum::<u64>());
+    assert_eq!(stats.panicked_batches, venues.iter().map(|v| v.panicked_batches).sum::<u64>());
+    for (i, &n) in stats.batch_hist.iter().enumerate() {
+        assert_eq!(n, venues.iter().map(|v| v.batch_hist[i]).sum::<u64>(), "batch_hist[{i}]");
+    }
+    for (i, &n) in stats.latency_hist.iter().enumerate() {
+        assert_eq!(n, venues.iter().map(|v| v.latency_hist[i]).sum::<u64>(), "latency_hist[{i}]");
+    }
 
     // The server still serves both venues after the storm.
     let mut check = NetClient::connect(addr).expect("connect");

@@ -160,3 +160,35 @@ fn faulty_connections_only_hurt_themselves() {
     assert_eq!(final_stats.connections_closed, 5, "every connection torn down on drain");
     assert_eq!(final_stats.responses_written, 13, "12 answers + 1 malformed goodbye");
 }
+
+/// Venue names are client input: a client cycling through names nobody
+/// published must get `UnknownVenue` for each one without the server
+/// growing per-venue state for any of them — only published venues ever
+/// get a queue shard and a counter block.
+#[test]
+fn unpublished_venue_names_allocate_no_server_state() {
+    const NAMES: usize = 500;
+    let (registry, suite) = common::office_registry(8);
+    let scan = suite.train.records()[0].rssi.clone();
+    let mut server = NetServer::start(registry, "127.0.0.1:0", ServerConfig::default())
+        .expect("bind ephemeral port");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+
+    client.locate("office", &scan).expect("published venue serves");
+    for i in 0..NAMES {
+        client.send(&format!("ghost-{i:03}"), &scan).expect("send");
+    }
+    for _ in 0..NAMES {
+        let resp = client.recv().expect("every unknown venue is answered");
+        assert_eq!(resp.result, Err(WireStatus::UnknownVenue), "id {}", resp.request_id);
+    }
+
+    let stats = server.serve_stats();
+    let venues: Vec<&str> = stats.venues.iter().map(|v| v.venue.as_str()).collect();
+    assert_eq!(venues, ["office"], "only the published venue holds server state");
+    assert_eq!(stats.completed, 1);
+    let wire = server.shutdown();
+    assert_eq!(wire.requests_decoded, NAMES as u64 + 1);
+    assert_eq!(wire.responses_written, NAMES as u64 + 1);
+}

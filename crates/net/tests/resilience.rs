@@ -17,7 +17,7 @@ use stone_net::{
     ClientError, NetClient, NetServer, RetryPolicy, ScanRequest, WireStatus, MIN_PROTOCOL_VERSION,
 };
 use stone_par::with_threads;
-use stone_serve::{LocalizationServer, ServerConfig};
+use stone_serve::ServerConfig;
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
@@ -35,10 +35,12 @@ fn wire_deadline_budget_expires_server_side() {
     let scan = &suite.train.records()[0].rssi;
     for threads in [1usize, 2, 8] {
         with_threads(threads, || {
-            let inner =
-                LocalizationServer::start_paused(std::sync::Arc::clone(&registry), quick_config());
-            let mut server =
-                NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+            let mut server = NetServer::start(
+                std::sync::Arc::clone(&registry),
+                "127.0.0.1:0",
+                ServerConfig { start_paused: true, ..quick_config() },
+            )
+            .expect("bind ephemeral port");
             let mut client = NetClient::connect(server.local_addr()).expect("connect");
             client.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
 
@@ -111,11 +113,12 @@ fn retry_policy_rides_out_a_shed() {
     let scan = suite.train.records()[0].rssi.clone();
     // Capacity 1 and paused executors: the first request wedges the queue,
     // everything else sheds until `resume`.
-    let inner = LocalizationServer::start_paused(
+    let mut server = NetServer::start(
         registry,
-        ServerConfig { queue_capacity: 1, ..quick_config() },
-    );
-    let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+        "127.0.0.1:0",
+        ServerConfig { queue_capacity: 1, start_paused: true, ..quick_config() },
+    )
+    .expect("bind ephemeral port");
 
     let mut filler = NetClient::connect(server.local_addr()).expect("connect");
     filler.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
@@ -166,8 +169,12 @@ fn retry_policy_rides_out_a_shed() {
 fn deadline_exceeded_is_not_retried() {
     let (registry, suite) = common::office_registry(24);
     let scan = suite.train.records()[0].rssi.clone();
-    let inner = LocalizationServer::start_paused(registry, quick_config());
-    let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+    let mut server = NetServer::start(
+        registry,
+        "127.0.0.1:0",
+        ServerConfig { start_paused: true, ..quick_config() },
+    )
+    .expect("bind ephemeral port");
 
     let mut client =
         NetClient::connect_with(server.local_addr(), RetryPolicy::quick(24)).expect("connect");

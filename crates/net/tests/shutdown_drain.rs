@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use stone_net::{ClientError, NetClient, NetServer};
 use stone_par::with_threads;
-use stone_serve::{LocalizationServer, ServerConfig};
+use stone_serve::ServerConfig;
 
 const IN_FLIGHT: usize = 16;
 
@@ -54,17 +54,19 @@ fn drain_cycle(registry: &std::sync::Arc<stone_serve::ModelRegistry>, scan: &[f3
     // Paused executors: every request is *accepted but unanswered* when
     // the drain begins, which is exactly the case graceful shutdown must
     // not drop.
-    let inner = LocalizationServer::start_paused(
+    let mut server = NetServer::start(
         registry,
+        "127.0.0.1:0",
         ServerConfig {
             max_batch: IN_FLIGHT,
             max_wait: Duration::ZERO,
             queue_capacity: 2 * IN_FLIGHT,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
-    );
-    let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     let mut client = NetClient::connect(addr).expect("connect");

@@ -1,7 +1,7 @@
-//! Normalization layers: row-wise L2 normalization and softmax.
+//! Row-wise L2 normalization.
 
 use rand::rngs::StdRng;
-use stone_tensor::{softmax_rows, Tensor};
+use stone_tensor::Tensor;
 
 use crate::layer::{Cache, Layer, Mode};
 
@@ -77,51 +77,6 @@ impl Layer for L2Normalize {
     }
 }
 
-/// Row-wise softmax layer.
-///
-/// Training classifiers should prefer [`crate::CrossEntropyLoss`], which
-/// fuses softmax with the loss for numerical stability; this layer exists for
-/// producing calibrated probabilities at inference time (used by the SCNN
-/// baseline when exporting confidence scores).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Softmax {
-    _priv: (),
-}
-
-impl Softmax {
-    /// Creates a softmax layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { _priv: () }
-    }
-}
-
-impl Layer for Softmax {
-    fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
-        let y = softmax_rows(x);
-        (y.clone(), Cache::one(y))
-    }
-
-    fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let y = &cache.tensors[0];
-        let (m, d) = (y.rows(), y.cols());
-        let mut gx = Tensor::zeros(vec![m, d]);
-        for i in 0..m {
-            let yr = y.row(i);
-            let gr = grad_out.row(i);
-            let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-            for ((o, &g), &yv) in gx.row_mut(i).iter_mut().zip(gr).zip(yr) {
-                *o = yv * (g - dot);
-            }
-        }
-        (gx, Vec::new())
-    }
-
-    fn name(&self) -> &'static str {
-        "softmax"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,25 +116,5 @@ mod tests {
         let (gx, _) = l.backward(&cache, &g);
         let dot: f32 = gx.row(0).iter().zip(y.row(0)).map(|(&a, &b)| a * b).sum();
         assert!(dot.abs() < 1e-6, "radial component leaked: {dot}");
-    }
-
-    #[test]
-    fn softmax_layer_matches_free_function() {
-        let x = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 0., 0., 0.]).unwrap();
-        let (y, _) = Softmax::new().forward(&x, Mode::Infer, &mut rng());
-        assert_eq!(y, softmax_rows(&x));
-    }
-
-    #[test]
-    fn softmax_backward_rows_sum_to_zero() {
-        // Softmax outputs live on the simplex, so input gradients must have
-        // zero row-sum.
-        let x = Tensor::from_vec(vec![1, 4], vec![0.5, -1., 2., 0.1]).unwrap();
-        let s = Softmax::new();
-        let (_, cache) = s.forward(&x, Mode::Train, &mut rng());
-        let g = Tensor::from_vec(vec![1, 4], vec![1., 0., -2., 0.5]).unwrap();
-        let (gx, _) = s.backward(&cache, &g);
-        let sum: f32 = gx.row(0).iter().sum();
-        assert!(sum.abs() < 1e-5, "row sum {sum}");
     }
 }

@@ -6,11 +6,10 @@
 //! training, so this crate implements the required subset from scratch on top
 //! of [`stone_tensor`]:
 //!
-//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`LeakyRelu`], [`Sigmoid`],
-//!   [`Tanh`], [`Dropout`], [`GaussianNoise`], [`Flatten`], [`L2Normalize`],
-//!   [`Softmax`], composed with [`Sequential`];
+//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`Dropout`], [`GaussianNoise`],
+//!   [`Flatten`], [`L2Normalize`], composed with [`Sequential`];
 //! * losses: [`TripletLoss`] (FaceNet-style, the heart of STONE),
-//!   [`ContrastiveLoss`], [`CrossEntropyLoss`], [`MseLoss`];
+//!   [`CrossEntropyLoss`], [`MseLoss`];
 //! * optimizers: [`Sgd`] and [`Adam`];
 //! * weight (de)serialization and central-difference [`gradcheck`] utilities.
 //!
@@ -61,12 +60,7 @@ mod sequential;
 pub use init::{he_normal, xavier_uniform};
 pub use io::{load_weights, save_weights, WeightIoError};
 pub use layer::{Cache, Layer, Mode};
-pub use layers::{
-    Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, LeakyRelu, Relu, Sigmoid, Softmax,
-    Tanh,
-};
-pub use loss::{
-    ContrastiveLoss, CrossEntropyLoss, MseLoss, TripletGrads, TripletLoss, TripletStats,
-};
+pub use layers::{Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, Relu};
+pub use loss::{CrossEntropyLoss, MseLoss, TripletGrads, TripletLoss, TripletStats};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sequential::{BackwardResult, Sequential};

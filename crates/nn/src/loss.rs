@@ -123,66 +123,6 @@ impl TripletLoss {
     }
 }
 
-/// Contrastive (pairwise) loss as used by DeepFace-style Siamese encoders:
-/// similar pairs (`label = true`) are pulled together with `d²`, dissimilar
-/// pairs pushed apart with `max(0, margin - d)²`.
-#[derive(Debug, Clone, Copy)]
-pub struct ContrastiveLoss {
-    margin: f32,
-}
-
-impl ContrastiveLoss {
-    /// Creates a contrastive loss with the given margin.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `margin` is negative.
-    #[must_use]
-    pub fn new(margin: f32) -> Self {
-        assert!(margin >= 0.0, "contrastive margin must be non-negative, got {margin}");
-        Self { margin }
-    }
-
-    /// Computes the mean loss and gradients for two `[batch, d]` embedding
-    /// batches plus per-pair similarity labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes or label counts disagree.
-    pub fn loss(&self, left: &Tensor, right: &Tensor, same: &[bool]) -> (f32, Tensor, Tensor) {
-        assert_eq!(left.shape(), right.shape(), "pair shape mismatch");
-        assert_eq!(left.rows(), same.len(), "label count mismatch");
-        let (b, d) = (left.rows(), left.cols());
-        let inv_b = 1.0 / b as f32;
-        let mut gl = Tensor::zeros(vec![b, d]);
-        let mut gr = Tensor::zeros(vec![b, d]);
-        let mut total = 0.0;
-        for (i, &is_same) in same.iter().enumerate() {
-            let (lr, rr) = (left.row(i), right.row(i));
-            let dist: f32 = lr.iter().zip(rr).map(|(&x, &y)| (x - y) * (x - y)).sum::<f32>().sqrt();
-            if is_same {
-                total += dist * dist;
-                for j in 0..d {
-                    let diff = lr[j] - rr[j];
-                    gl.row_mut(i)[j] = 2.0 * diff * inv_b;
-                    gr.row_mut(i)[j] = -2.0 * diff * inv_b;
-                }
-            } else if dist < self.margin {
-                let gap = self.margin - dist;
-                total += gap * gap;
-                let safe = dist.max(1e-8);
-                for j in 0..d {
-                    let diff = lr[j] - rr[j];
-                    // d/dl (m - d)² = -2 (m - d) * diff / d
-                    gl.row_mut(i)[j] = -2.0 * gap * diff / safe * inv_b;
-                    gr.row_mut(i)[j] = 2.0 * gap * diff / safe * inv_b;
-                }
-            }
-        }
-        (total * inv_b, gl, gr)
-    }
-}
-
 /// Softmax cross-entropy loss over integer class labels, fused with the
 /// softmax for numerical stability.
 #[derive(Debug, Clone, Copy, Default)]
@@ -306,22 +246,6 @@ mod tests {
             let ana = grads.anchor.as_slice()[idx];
             assert!((num - ana).abs() < 1e-2, "idx {idx}: {num} vs {ana}");
         }
-    }
-
-    #[test]
-    fn contrastive_pulls_and_pushes() {
-        let l = Tensor::from_vec(vec![2, 2], vec![0., 0., 0., 0.]).unwrap();
-        let r = Tensor::from_vec(vec![2, 2], vec![1., 0., 1., 0.]).unwrap();
-        // First pair same (penalized d²=1), second different with margin 2
-        // (penalized (2-1)²=1).
-        let (loss, gl, _) = ContrastiveLoss::new(2.0).loss(&l, &r, &[true, false]);
-        assert!((loss - 1.0).abs() < 1e-6);
-        // Same pair: descending the loss pulls left toward right at (1,0),
-        // i.e. increases left-x, so the gradient is negative.
-        assert!(gl.at2(0, 0) < 0.0);
-        // Different pair: descending pushes left away from right, i.e.
-        // decreases left-x, so the gradient is positive.
-        assert!(gl.at2(1, 0) > 0.0);
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //!
 //! Rules come from two places:
 //!
-//! * programmatically, via [`crate::LocalizationServer::start_with_chaos`]
-//!   — what the test suites use (no env-var races between parallel tests);
+//! * programmatically, via [`crate::ServerConfig::chaos`] — what the test
+//!   suites use (no env-var races between parallel tests);
 //! * the `STONE_CHAOS` environment variable, read by
-//!   [`crate::LocalizationServer::start`] — what the chaos fleet smoke in
-//!   CI and the examples use. The format is comma-separated rules:
+//!   [`crate::LocalizationServer::start`] when `chaos` is `None` — what the
+//!   chaos fleet smoke in CI and the examples use. The format is
+//!   comma-separated rules:
 //!   `panic:<venue>[@<version>][:<count>]` or
 //!   `stall:<venue>[@<version>]:<millis>[:<count>]`, e.g.
 //!   `STONE_CHAOS=panic:office@2,stall:cafe:5:10` panics every batch served

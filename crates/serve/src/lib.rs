@@ -42,15 +42,25 @@
 //! ([`stone_obs::set_tracing`]) each answered request records five
 //! contiguous stage spans — queue wait, collect, snapshot, infer,
 //! write-back — whose durations sum to its end-to-end latency. Hot-path
-//! cost when disabled is one relaxed atomic load per request. Callers that
-//! hammer one venue should use [`ServerHandle::venue_handle`] to skip the
-//! per-request stats-map read lock, and [`ServerHandle::breaker_states`]
-//! exposes each venue's [`BreakerState`] for the admin surfaces.
+//! cost when disabled is one relaxed atomic load per request. Each venue's
+//! counters live in its queue shard, so recording them costs no lookup,
+//! and [`ServerHandle::breaker_states`] exposes each venue's
+//! [`BreakerState`] for the admin surfaces.
+//!
+//! # Submitting
+//!
+//! Every query is one owned [`LocateRequest`] (venue, scan, optional
+//! deadline budget, optional carried trace ID). [`ServerHandle::submit`]
+//! waits for a queue slot and returns a [`PendingLocate`] ticket;
+//! [`ServerHandle::try_submit`] fails fast and answers through a callback
+//! invoked exactly once (the wire path); [`ServerHandle::locate`] is
+//! `submit` + `wait` for the common blocking case.
 //!
 //! # Resilience
 //!
 //! Failure is contained per layer (DESIGN.md, "Failure modes & degradation
-//! ladder"): a request may carry a **deadline** budget — expired requests
+//! ladder"): a request may carry a **deadline** budget
+//! ([`LocateRequest::deadline`]) — expired requests
 //! are dropped at batch-collect time with [`ServeError::DeadlineExceeded`],
 //! never reaching the model; a panicking model call is **isolated** to its
 //! own batch ([`ServeError::Internal`], executor survives); consecutive
@@ -59,7 +69,7 @@
 //! retained **last-good** snapshot ([`ModelRegistry::rollback`]); model
 //! blobs are checksummed so a corrupt publish is rejected before it can
 //! serve. Deterministic fault injection for all of this lives behind
-//! [`ChaosConfig`] / the `STONE_CHAOS` env var.
+//! [`ServerConfig::chaos`] / the `STONE_CHAOS` env var.
 //!
 //! # Determinism
 //!
@@ -110,8 +120,8 @@ pub use breaker::BreakerState;
 pub use chaos::{corrupt_blob, ChaosConfig, ChaosFault, ChaosRule};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{
-    LocalizationServer, LocateResponse, PendingLocate, ServeError, ServerConfig, ServerHandle,
-    VenueHandle,
+    LocalizationServer, LocateRequest, LocateResponse, PendingLocate, ServeError, ServerConfig,
+    ServerHandle,
 };
 pub use stats::{StatsSnapshot, VenueStatsSnapshot};
 

@@ -7,6 +7,14 @@
 //! optional per-venue cap on top so one hot venue cannot monopolize the
 //! whole buffer.
 //!
+//! Each shard also owns its venue's counter block ([`VenueStats`]): a push
+//! records its outcome under the queue lock it already holds, a collected
+//! batch carries the block to the executor, and the server-wide
+//! [`StatsSnapshot`] is the sum of the blocks. A shard is created only for
+//! a venue the registry has published at its first submit, so unknown
+//! venue names sent by clients allocate nothing and are answered
+//! [`ServeError::UnknownVenue`] at the door.
+//!
 //! The payoff is on the *drain* side: [`ShardedQueue::collect`] hands an
 //! executor one **single-venue** batch — the deepest backlog, unless some
 //! venue's head request has aged past `max_wait`, in which case the oldest
@@ -16,62 +24,47 @@
 //! instead of fragmenting a mixed drain into per-venue slivers (the
 //! 16-venue regression of docs/PERFORMANCE.md).
 //!
-//! Pause (`start_paused`) and close (shutdown) live here too: a paused
-//! queue accepts up to capacity but hands out nothing; a closed queue
-//! refuses pushes while `collect` keeps handing out batches until empty —
-//! the drain that answers everything accepted.
+//! Pause ([`crate::ServerConfig::start_paused`]) and close (shutdown) live
+//! here too: a paused queue accepts up to capacity but hands out nothing; a
+//! closed queue refuses pushes while `collect` keeps handing out batches
+//! until empty — the drain that answers everything accepted.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::server::{LocateResponse, ServeError};
+use crate::registry::ModelRegistry;
+use crate::server::{LocateResponse, ServeError, ServerConfig};
+use crate::stats::{StatsSnapshot, VenueStats};
 
-/// How a request's answer travels back to whoever submitted it.
-pub(crate) enum Reply {
-    /// In-process submit: the sending half of a [`crate::PendingLocate`]
-    /// ticket.
-    Channel(mpsc::Sender<Result<LocateResponse, ServeError>>),
-    /// Callback submit ([`crate::ServerHandle::try_submit_with`]): invoked
-    /// exactly once from the executor thread — the wire front-end path,
-    /// where the callback enqueues a response frame on the connection's
-    /// writer.
-    Callback(ReplyCallback),
-}
-
-impl Reply {
-    pub(crate) fn send(self, result: Result<LocateResponse, ServeError>) {
-        match self {
-            // A client that gave up and dropped its ticket is not an error.
-            Reply::Channel(tx) => drop(tx.send(result)),
-            Reply::Callback(cb) => cb.call(result),
-        }
-    }
-}
-
-/// The boxed form of a [`crate::ServerHandle::try_submit_with`] callback.
+/// The boxed form of a reply callback.
 type BoxedReply = Box<dyn FnOnce(Result<LocateResponse, ServeError>) + Send>;
 
-/// An exactly-once reply callback with a drop guarantee: if the server ever
-/// drops a request without answering it (torn down mid-flight), the callback
-/// still fires with [`ServeError::ShuttingDown`], so a wire front-end can
-/// always send *some* response frame and its writer never hangs.
-pub(crate) struct ReplyCallback(Option<BoxedReply>);
+/// How a request's answer travels back to whoever submitted it: a callback
+/// invoked exactly once — from the executor thread, or inline when the
+/// push is refused. A [`crate::PendingLocate`] ticket is a callback that
+/// feeds a channel; the wire front-end's callback enqueues a response
+/// frame on the connection's writer.
+///
+/// The drop guarantee: if the server ever drops a request without
+/// answering it (torn down mid-flight), the callback still fires with
+/// [`ServeError::ShuttingDown`], so a ticket never hangs and a wire writer
+/// can always send *some* response frame.
+pub(crate) struct Reply(Option<BoxedReply>);
 
-impl ReplyCallback {
+impl Reply {
     pub(crate) fn new(f: BoxedReply) -> Self {
         Self(Some(f))
     }
 
-    pub(crate) fn call(mut self, result: Result<LocateResponse, ServeError>) {
+    pub(crate) fn send(mut self, result: Result<LocateResponse, ServeError>) {
         if let Some(f) = self.0.take() {
             f(result);
         }
     }
 }
 
-impl Drop for ReplyCallback {
+impl Drop for Reply {
     fn drop(&mut self) {
         if let Some(f) = self.0.take() {
             f(Err(ServeError::ShuttingDown));
@@ -96,24 +89,14 @@ pub(crate) struct Request {
     pub(crate) reply: Reply,
 }
 
-/// Why a [`ShardedQueue::try_push`] was refused. Each variant hands the
-/// request back so the caller can reclaim its reply (the exactly-once
-/// callback contract).
-pub(crate) enum TryPushError {
-    /// The shared global capacity is exhausted.
-    GlobalFull(Request),
-    /// The venue's own sub-queue cap is hit (global capacity had room).
-    VenueFull(Request),
-    /// The queue is closed (server shutting down).
-    Closed(Request),
-}
-
 /// What [`ShardedQueue::collect`] handed out.
 pub(crate) enum Collected {
     /// A single-venue batch: every request targets `venue`, FIFO order.
     Batch {
         /// The venue every request of this batch targets.
         venue: String,
+        /// The venue's counter block, which the executor records into.
+        stats: Arc<VenueStats>,
         /// The drained live requests (up to `max_batch` of them; may be
         /// empty when every drained request had already expired).
         requests: Vec<Request>,
@@ -132,11 +115,13 @@ pub(crate) enum Collected {
     Closed,
 }
 
-/// One venue's FIFO sub-queue. Shards are created on a venue's first push
-/// and retained (empty) afterwards, so shard indices stay stable.
+/// One venue's FIFO sub-queue and counter block. Shards are created on a
+/// published venue's first push and retained (empty) afterwards, so shard
+/// indices stay stable.
 struct Shard {
     venue: String,
     queue: VecDeque<Request>,
+    stats: Arc<VenueStats>,
 }
 
 struct Inner {
@@ -151,14 +136,26 @@ struct Inner {
 }
 
 impl Inner {
-    fn shard_idx(&mut self, venue: &str) -> usize {
+    /// The venue's shard, created on first touch — but only for a venue
+    /// the registry has published. Known venues pay no registry lookup.
+    fn shard_idx(
+        &mut self,
+        venue: &str,
+        registry: &ModelRegistry,
+        max_batch: usize,
+    ) -> Option<usize> {
         if let Some(&i) = self.by_venue.get(venue) {
-            return i;
+            return Some(i);
         }
+        registry.snapshot(venue)?;
         let i = self.shards.len();
-        self.shards.push(Shard { venue: venue.to_string(), queue: VecDeque::new() });
+        self.shards.push(Shard {
+            venue: venue.to_string(),
+            queue: VecDeque::new(),
+            stats: Arc::new(VenueStats::new(max_batch)),
+        });
         self.by_venue.insert(venue.to_string(), i);
-        i
+        Some(i)
     }
 
     /// The venue an executor should drain next, or `None` when nothing is
@@ -201,73 +198,79 @@ pub(crate) struct ShardedQueue {
     work: Condvar,
     /// Blocking producers wait here for a slot (global or per-venue).
     space: Condvar,
+    /// Venues without a shard are checked here before one is created.
+    registry: Arc<ModelRegistry>,
     capacity: usize,
     venue_capacity: Option<usize>,
+    /// Most requests per collected batch; also the histogram width of each
+    /// shard's counter block.
+    max_batch: usize,
+    /// The per-request scheduling bound (see [`ServerConfig::max_wait`]).
+    max_wait: Duration,
 }
 
 impl ShardedQueue {
-    pub(crate) fn new(capacity: usize, venue_capacity: Option<usize>, paused: bool) -> Self {
+    pub(crate) fn new(cfg: &ServerConfig, registry: Arc<ModelRegistry>) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 shards: Vec::new(),
                 by_venue: HashMap::new(),
                 queued: 0,
                 closed: false,
-                paused,
+                paused: cfg.start_paused,
                 cursor: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            capacity,
-            venue_capacity,
+            registry,
+            capacity: cfg.queue_capacity,
+            venue_capacity: cfg.venue_capacity,
+            max_batch: cfg.max_batch,
+            max_wait: cfg.max_wait,
         }
     }
 
-    /// Non-blocking push: fails fast when the global capacity or the
-    /// venue's cap is exhausted, handing the request back.
-    pub(crate) fn try_push(&self, req: Request) -> Result<(), TryPushError> {
+    /// Enqueues `req` on its venue's shard. With `wait` it blocks while the
+    /// global capacity or the venue's cap is exhausted (backpressure);
+    /// without, it sheds with [`ServeError::QueueFull`] or
+    /// [`ServeError::VenueQueueFull`]. An unpublished venue without a shard
+    /// fails with [`ServeError::UnknownVenue`], a closed queue with
+    /// [`ServeError::ShuttingDown`]. The outcome is counted in the venue's
+    /// block under the lock; a refused request's reply fires with the error
+    /// (after the lock is released) and the same error is returned.
+    pub(crate) fn push(&self, req: Request, wait: bool) -> Result<(), ServeError> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed {
-            return Err(TryPushError::Closed(req));
-        }
-        if inner.queued >= self.capacity {
-            return Err(TryPushError::GlobalFull(req));
-        }
-        let idx = inner.shard_idx(&req.venue);
-        if let Some(cap) = self.venue_capacity {
-            if inner.shards[idx].queue.len() >= cap {
-                return Err(TryPushError::VenueFull(req));
-            }
-        }
-        inner.shards[idx].queue.push_back(req);
-        inner.queued += 1;
-        drop(inner);
-        self.work.notify_all();
-        Ok(())
-    }
-
-    /// Blocking push: waits for a slot (backpressure). `Err` hands the
-    /// request back — the queue closed while waiting (or before).
-    pub(crate) fn push(&self, req: Request) -> Result<(), Request> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
+        let err = loop {
             if inner.closed {
-                return Err(req);
+                break ServeError::ShuttingDown;
             }
-            if inner.queued < self.capacity {
-                let idx = inner.shard_idx(&req.venue);
-                let venue_full =
-                    self.venue_capacity.is_some_and(|cap| inner.shards[idx].queue.len() >= cap);
-                if !venue_full {
-                    inner.shards[idx].queue.push_back(req);
-                    inner.queued += 1;
-                    drop(inner);
-                    self.work.notify_all();
-                    return Ok(());
+            let Some(idx) = inner.shard_idx(&req.venue, &self.registry, self.max_batch) else {
+                break ServeError::UnknownVenue { venue: req.venue.clone() };
+            };
+            let global_full = inner.queued >= self.capacity;
+            let shard = &mut inner.shards[idx];
+            let venue_full = self.venue_capacity.is_some_and(|cap| shard.queue.len() >= cap);
+            if !global_full && !venue_full {
+                shard.stats.record_enqueued();
+                shard.queue.push_back(req);
+                inner.queued += 1;
+                drop(inner);
+                self.work.notify_all();
+                return Ok(());
+            }
+            if !wait {
+                if global_full {
+                    shard.stats.record_shed_global();
+                    break ServeError::QueueFull;
                 }
+                shard.stats.record_shed_venue();
+                break ServeError::VenueQueueFull { venue: req.venue.clone() };
             }
             inner = self.space.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
+        };
+        drop(inner);
+        req.reply.send(Err(err.clone()));
+        Err(err)
     }
 
     /// Hands the calling executor its next single-venue batch, blocking
@@ -281,7 +284,8 @@ impl ShardedQueue {
     /// batch's `expired` list as they are popped: expired work never
     /// occupies one of the `max_batch` live slots and never reaches
     /// `locate_batch`.
-    pub(crate) fn collect(&self, max_batch: usize, max_wait: Duration) -> Collected {
+    pub(crate) fn collect(&self) -> Collected {
+        let (max_batch, max_wait) = (self.max_batch, self.max_wait);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let idx = loop {
             if inner.paused && !inner.closed {
@@ -299,6 +303,7 @@ impl ShardedQueue {
 
         inner.cursor = (idx + 1) % inner.shards.len();
         let venue = inner.shards[idx].venue.clone();
+        let stats = Arc::clone(&inner.shards[idx].stats);
         let drained_at = Instant::now();
         let mut requests = Vec::new();
         let mut expired = Vec::new();
@@ -350,7 +355,7 @@ impl ShardedQueue {
                 inner = guard;
             }
         }
-        Collected::Batch { venue, requests, expired, drained_at }
+        Collected::Batch { venue, stats, requests, expired, drained_at }
     }
 
     /// Unparks executors parked by a paused start. Idempotent.
@@ -363,9 +368,18 @@ impl ShardedQueue {
         }
     }
 
+    /// A point-in-time copy of every venue's counters plus their sum.
+    pub(crate) fn stats(&self) -> StatsSnapshot {
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let venues = inner.shards.iter().map(|s| s.stats.snapshot(&s.venue)).collect();
+        drop(inner);
+        StatsSnapshot::from_venues(venues, self.max_batch)
+    }
+
     /// Closes the queue: pushes fail from here on, blocked producers wake
-    /// with their request handed back, and executors drain what remains
-    /// then receive [`Collected::Closed`]. Clears pause — a drain must run.
+    /// and fail with [`ServeError::ShuttingDown`], and executors drain what
+    /// remains then receive [`Collected::Closed`]. Clears pause — a drain
+    /// must run.
     pub(crate) fn close(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.closed = true;

@@ -36,9 +36,7 @@
 //!   the half-open probe after the cooldown usually lands on a healthy
 //!   model. Other venues never notice.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Instant;
 
 use stone_obs::{record_span_between, Stage};
@@ -51,41 +49,29 @@ use crate::server::{LocateResponse, ServeError, ServerConfig, Shared};
 use crate::stats::VenueStats;
 
 /// One executor thread: pull a single-venue batch, execute, reply, repeat —
-/// until the queue closes and drains dry.
-///
-/// Each executor memoizes the venue → stats-block lookups it has done
-/// (`shared.stats.venue` takes the stats map's read lock), so a venue's
-/// steady-state batches record against a locally cached `Arc` — the
-/// executor-side half of the hot-path fix measured in
-/// docs/PERFORMANCE.md (the submit side is [`crate::VenueHandle`]).
+/// until the queue closes and drains dry. Each batch carries its venue's
+/// counter block from the queue shard, so recording needs no lookup.
 pub(crate) fn executor_loop(
     queue: &ShardedQueue,
     registry: &ModelRegistry,
     shared: &Shared,
-    cfg: ServerConfig,
+    cfg: &ServerConfig,
 ) {
-    let mut venue_stats: HashMap<String, Arc<VenueStats>> = HashMap::new();
     loop {
-        match queue.collect(cfg.max_batch, cfg.max_wait) {
+        match queue.collect() {
             Collected::Closed => return,
-            Collected::Batch { venue, requests, expired, drained_at } => {
-                let vstats = Arc::clone(
-                    venue_stats.entry(venue.clone()).or_insert_with(|| shared.stats.venue(&venue)),
-                );
+            Collected::Batch { venue, stats, requests, expired, drained_at } => {
                 // Last-resort isolation: the model call has its own
                 // catch_unwind below, but nothing anywhere in batch
                 // handling may kill the executor. Requests dropped by a
-                // panic here still answer — the reply channel's drop makes
-                // wait() return ShuttingDown, and a ReplyCallback fires
-                // ShuttingDown from its Drop impl.
+                // panic here still answer: a Reply fires ShuttingDown from
+                // its Drop impl.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     if !expired.is_empty() {
-                        expire_requests(shared, &vstats, &venue, expired);
+                        expire_requests(&stats, &venue, expired);
                     }
                     if !requests.is_empty() {
-                        execute_batch(
-                            registry, shared, &vstats, &cfg, &venue, requests, drained_at,
-                        );
+                        execute_batch(registry, shared, &stats, cfg, &venue, requests, drained_at);
                     }
                 }));
             }
@@ -96,13 +82,10 @@ pub(crate) fn executor_loop(
 /// Answers requests whose deadline passed while they were queued. They are
 /// counted as completions (queue-depth accounting) and as expirations, but
 /// never as a batch — no model was touched.
-fn expire_requests(shared: &Shared, vstats: &VenueStats, venue: &str, expired: Vec<Request>) {
+fn expire_requests(vstats: &VenueStats, venue: &str, expired: Vec<Request>) {
     for req in expired {
-        let latency = req.enqueued.elapsed();
-        shared.stats.record_expired();
         vstats.record_expired();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
+        vstats.record_completed(req.enqueued.elapsed());
         req.reply.send(Err(ServeError::DeadlineExceeded { venue: venue.to_string() }));
     }
 }
@@ -110,12 +93,10 @@ fn expire_requests(shared: &Shared, vstats: &VenueStats, venue: &str, expired: V
 /// Fast-fails a whole batch because the venue's breaker is open: every
 /// request answers [`ServeError::VenueUnavailable`] without the model being
 /// touched.
-fn fast_fail_batch(shared: &Shared, vstats: &VenueStats, venue: &str, batch: Vec<Request>) {
+fn fast_fail_batch(vstats: &VenueStats, venue: &str, batch: Vec<Request>) {
     for req in batch {
-        let latency = req.enqueued.elapsed();
         vstats.record_fast_failed();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
+        vstats.record_completed(req.enqueued.elapsed());
         req.reply.send(Err(ServeError::VenueUnavailable { venue: venue.to_string() }));
     }
 }
@@ -149,11 +130,10 @@ fn execute_batch(
     // Breaker admission is per *batch*, before any batch accounting: a
     // fast-failed batch is not a batch the model executed.
     if shared.breakers.admit(venue) == Admit::FastFail {
-        fast_fail_batch(shared, vstats, venue, batch);
+        fast_fail_batch(vstats, venue, batch);
         return;
     }
 
-    shared.stats.record_batch(batch.len());
     vstats.record_batch(batch.len());
 
     let mut results: Vec<Option<Result<LocateResponse, ServeError>>> = Vec::new();
@@ -224,7 +204,6 @@ fn execute_batch(
                         }
                     }
                     Err(_) => {
-                        shared.stats.record_panicked_batch();
                         vstats.record_panicked_batch();
                         if shared.breakers.record_failure(venue) {
                             vstats.record_breaker_trip();
@@ -254,9 +233,7 @@ fn execute_batch(
         // wait() returns, a stats() snapshot must already account for its
         // request (the smoke test reads exact counts right after the last
         // reply).
-        let latency = req.enqueued.elapsed();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
+        vstats.record_completed(req.enqueued.elapsed());
         if req.trace_id != 0 && stone_obs::tracing_enabled() {
             let (trace_id, enqueued) = (req.trace_id, req.enqueued);
             req.reply.send(result);

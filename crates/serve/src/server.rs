@@ -10,11 +10,10 @@
 //! **bitwise identical** to per-scan `Localizer::locate` calls on the same
 //! model snapshot: batching changes cost, never answers.
 //!
-//! This module owns the public surface (errors, config, handles, tickets);
-//! the queue discipline lives in `queue.rs` and the drain policy plus batch
-//! execution in `scheduler.rs`.
+//! This module owns the public surface (errors, config, the request type,
+//! the handle and its ticket); the queue discipline lives in `queue.rs` and
+//! the drain policy plus batch execution in `scheduler.rs`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -24,10 +23,10 @@ use stone_radio::Point2;
 
 use crate::breaker::{BreakerSet, BreakerState};
 use crate::chaos::{ChaosConfig, ChaosState};
-use crate::queue::{Reply, ReplyCallback, Request, ShardedQueue, TryPushError};
+use crate::queue::{Reply, Request, ShardedQueue};
 use crate::registry::ModelRegistry;
 use crate::scheduler::executor_loop;
-use crate::stats::{ServerStats, StatsSnapshot, VenueStats, VenueStatsSnapshot};
+use crate::stats::StatsSnapshot;
 
 /// A fresh trace ID when tracing is enabled, `0` (untraced) otherwise —
 /// the submit-side cost of disabled tracing is this one relaxed load.
@@ -44,7 +43,9 @@ fn fresh_trace_id() -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// No model is published for the requested venue.
+    /// No model is published for the requested venue (answered at submit
+    /// for a venue the server has never queued for, or at batch time for a
+    /// venue removed while its requests were queued).
     UnknownVenue {
         /// The venue the client asked for.
         venue: String,
@@ -64,9 +65,8 @@ pub enum ServeError {
         got: usize,
     },
     /// The **shared global capacity** of the bounded request queue is full
-    /// (backpressure; only [`ServerHandle::try_locate`]/
-    /// [`ServerHandle::try_submit`] report this — the blocking variants
-    /// wait for a slot instead).
+    /// (backpressure; only [`ServerHandle::try_submit`] reports this — the
+    /// blocking [`ServerHandle::submit`] waits for a slot instead).
     QueueFull,
     /// The venue's **own sub-queue cap** ([`ServerConfig::venue_capacity`])
     /// is full while the global capacity still had room — one hot venue is
@@ -80,8 +80,8 @@ pub enum ServeError {
     /// The request's deadline expired while it was still queued. The
     /// scheduler drops expired requests at collect time — they never occupy
     /// a batch slot or reach the model. Only requests submitted with a
-    /// deadline ([`ServerHandle::submit_deadline`] and friends, or a v2
-    /// wire request with a non-zero budget) can fail this way.
+    /// [`LocateRequest::deadline`] (a v2+ wire request with a non-zero
+    /// budget, for one) can fail this way.
     DeadlineExceeded {
         /// The venue the expired request targeted.
         venue: String,
@@ -147,8 +147,35 @@ pub struct LocateResponse {
     pub model_version: u64,
 }
 
+/// One localization query: the owned request every submit path takes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LocateRequest {
+    /// The venue whose model should answer.
+    pub venue: String,
+    /// The scan: one RSSI value per AP of the venue's universe.
+    pub rssi: Vec<f32>,
+    /// Optional budget counted from submission, queueing included: a
+    /// request still queued once it elapses is dropped at batch-collect
+    /// time — before occupying a batch slot — and answered
+    /// [`ServeError::DeadlineExceeded`]. `None` never expires.
+    pub deadline: Option<Duration>,
+    /// Tracing correlation ID. `0` lets the server mint one when tracing is
+    /// enabled (and leaves the request untraced otherwise); a nonzero ID —
+    /// a v3 wire frame's `trace_id` — is carried verbatim, so the request's
+    /// stage spans can be joined with client-side timings by ID.
+    pub trace_id: u64,
+}
+
+impl LocateRequest {
+    /// A request for `venue` with no deadline and no carried trace ID.
+    #[must_use]
+    pub fn new(venue: impl Into<String>, rssi: impl Into<Vec<f32>>) -> Self {
+        Self { venue: venue.into(), rssi: rssi.into(), deadline: None, trace_id: 0 }
+    }
+}
+
 /// Knobs of one [`LocalizationServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Most requests coalesced into one `locate_batch` call. 1 disables
     /// batching (every request runs alone — the baseline the micro benches
@@ -167,8 +194,8 @@ pub struct ServerConfig {
     /// worthwhile when per-batch fixed cost dominates per-scan cost.
     pub max_wait: Duration,
     /// Capacity of the bounded request queue — the backpressure boundary,
-    /// **shared across all venues**. Blocking submits wait for a slot;
-    /// `try_` submits return [`ServeError::QueueFull`].
+    /// **shared across all venues**. [`ServerHandle::submit`] waits for a
+    /// slot; [`ServerHandle::try_submit`] returns [`ServeError::QueueFull`].
     pub queue_capacity: usize,
     /// Optional cap on any single venue's sub-queue, carved out of the
     /// shared `queue_capacity`. `None` (the default, and the pre-PR 8
@@ -193,6 +220,18 @@ pub struct ServerConfig {
     /// How long a tripped breaker fast-fails before letting a probe batch
     /// through (half-open). Default 100 ms.
     pub breaker_cooldown: Duration,
+    /// Start with the executors *parked*: submits are accepted into the
+    /// bounded queue (up to `queue_capacity`) yet nothing executes until
+    /// [`LocalizationServer::resume`] is called. This turns "queue full"
+    /// from a race into a deterministic state — the backpressure contract
+    /// tests fill the queue, observe exactly the overflow being shed, then
+    /// resume. Default `false`.
+    pub start_paused: bool,
+    /// Fault injection (see [`ChaosConfig`]). `None`, the default, reads
+    /// the `STONE_CHAOS` environment variable at start (unset means no
+    /// faults); `Some` is used as given — what the resilience test suites
+    /// pass, so parallel tests never race on the process environment.
+    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for ServerConfig {
@@ -205,6 +244,8 @@ impl Default for ServerConfig {
             workers: 1,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(100),
+            start_paused: false,
+            chaos: None,
         }
     }
 }
@@ -222,8 +263,6 @@ impl ServerConfig {
 
 /// State shared between the server, its handles and its executors.
 pub(crate) struct Shared {
-    pub(crate) stats: ServerStats,
-    pub(crate) accepting: AtomicBool,
     pub(crate) breakers: BreakerSet,
     pub(crate) chaos: ChaosState,
 }
@@ -263,85 +302,22 @@ pub struct LocalizationServer {
 }
 
 impl LocalizationServer {
-    /// Starts the executor threads and returns the running server.
-    ///
-    /// Fault injection follows the `STONE_CHAOS` environment variable (see
-    /// [`ChaosConfig`]); unset means none.
+    /// Starts the executor threads (parked when
+    /// [`ServerConfig::start_paused`] is set) and returns the running
+    /// server.
     ///
     /// # Panics
     ///
     /// Panics when the configuration is degenerate (zero `max_batch`,
-    /// `queue_capacity`, `venue_capacity` or `workers`), `STONE_CHAOS` is
-    /// set but malformed, or a thread cannot be spawned.
+    /// `queue_capacity`, `venue_capacity` or `workers`), `chaos` is `None`
+    /// and `STONE_CHAOS` is set but malformed, or a thread cannot be
+    /// spawned.
     #[must_use]
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
-        Self::start_inner(registry, cfg, false, ChaosConfig::from_env())
-    }
-
-    /// Like [`LocalizationServer::start`], but the executors begin *parked*:
-    /// submits are accepted into the bounded queue (up to `queue_capacity`)
-    /// yet nothing executes until [`LocalizationServer::resume`] is called.
-    /// This turns "queue full" from a race into a deterministic state — the
-    /// backpressure contract tests fill the queue, observe exactly the
-    /// overflow being shed, then resume.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`LocalizationServer::start`].
-    #[must_use]
-    pub fn start_paused(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
-        Self::start_inner(registry, cfg, true, ChaosConfig::from_env())
-    }
-
-    /// Like [`LocalizationServer::start`], with an explicit fault-injection
-    /// configuration instead of the `STONE_CHAOS` environment variable —
-    /// what the resilience test suites use, so parallel tests never race on
-    /// the process environment.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`LocalizationServer::start`].
-    #[must_use]
-    pub fn start_with_chaos(
-        registry: Arc<ModelRegistry>,
-        cfg: ServerConfig,
-        chaos: ChaosConfig,
-    ) -> Self {
-        Self::start_inner(registry, cfg, false, chaos)
-    }
-
-    /// [`LocalizationServer::start_paused`] with an explicit fault-injection
-    /// configuration (see [`LocalizationServer::start_with_chaos`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`LocalizationServer::start`].
-    #[must_use]
-    pub fn start_paused_with_chaos(
-        registry: Arc<ModelRegistry>,
-        cfg: ServerConfig,
-        chaos: ChaosConfig,
-    ) -> Self {
-        Self::start_inner(registry, cfg, true, chaos)
-    }
-
-    /// Unparks the executors of a [`LocalizationServer::start_paused`]
-    /// server. Idempotent; a no-op on a server started normally.
-    pub fn resume(&self) {
-        self.queue.resume();
-    }
-
-    fn start_inner(
-        registry: Arc<ModelRegistry>,
-        cfg: ServerConfig,
-        paused: bool,
-        chaos: ChaosConfig,
-    ) -> Self {
         cfg.validate();
-        let queue = Arc::new(ShardedQueue::new(cfg.queue_capacity, cfg.venue_capacity, paused));
+        let chaos = cfg.chaos.clone().unwrap_or_else(ChaosConfig::from_env);
+        let queue = Arc::new(ShardedQueue::new(&cfg, Arc::clone(&registry)));
         let shared = Arc::new(Shared {
-            stats: ServerStats::new(cfg.max_batch),
-            accepting: AtomicBool::new(true),
             breakers: BreakerSet::new(cfg.breaker_threshold, cfg.breaker_cooldown),
             chaos: ChaosState::new(chaos),
         });
@@ -350,13 +326,20 @@ impl LocalizationServer {
                 let queue = Arc::clone(&queue);
                 let registry = Arc::clone(&registry);
                 let shared = Arc::clone(&shared);
+                let cfg = cfg.clone();
                 std::thread::Builder::new()
                     .name(format!("stone-serve-{i}"))
-                    .spawn(move || executor_loop(&queue, &registry, &shared, cfg))
+                    .spawn(move || executor_loop(&queue, &registry, &shared, &cfg))
                     .expect("spawn executor thread")
             })
             .collect();
         Self { registry, queue, shared, cfg, workers }
+    }
+
+    /// Unparks the executors of a server started with
+    /// [`ServerConfig::start_paused`]. Idempotent; a no-op otherwise.
+    pub fn resume(&self) {
+        self.queue.resume();
     }
 
     /// A cloneable client handle feeding this server's queue.
@@ -382,7 +365,7 @@ impl LocalizationServer {
     /// per-venue breakdowns of [`StatsSnapshot::venues`]).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.queue.stats()
     }
 
     /// Stops accepting new requests, drains every request already queued,
@@ -401,7 +384,6 @@ impl LocalizationServer {
         if self.workers.is_empty() {
             return;
         }
-        self.shared.accepting.store(false, Ordering::SeqCst);
         // Closing wakes parked/waiting executors (pause is cleared — the
         // drain must run), fails blocked producers with ShuttingDown, and
         // lets each executor keep collecting single-venue batches until the
@@ -434,343 +416,78 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    fn request(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> (Request, mpsc::Receiver<Result<LocateResponse, ServeError>>) {
-        let (reply, rx) = mpsc::channel();
-        // One Instant::now() stamps both: the deadline budget counts from
-        // the moment of submission, queueing time included.
-        let now = Instant::now();
-        let req = Request {
-            venue: venue.to_string(),
-            rssi: rssi.to_vec(),
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            trace_id: fresh_trace_id(),
-            reply: Reply::Channel(reply),
-        };
-        (req, rx)
-    }
-
-    /// Enqueues a scan, **blocking while the queue is full** (backpressure),
-    /// and returns a ticket to collect the answer. Submitting without
-    /// immediately waiting is how a client pipelines many scans into one
-    /// coalescing window.
+    /// Enqueues a request, **waiting while the queue is full**
+    /// (backpressure), and returns a ticket to collect the answer.
+    /// Submitting without immediately waiting is how a client pipelines
+    /// many scans into one coalescing window.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit(&self, venue: &str, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline(venue, rssi, None)
-    }
-
-    /// [`ServerHandle::submit`] with an optional deadline budget counted
-    /// from now: if the request is still queued once the budget elapses, it
-    /// is dropped at batch-collect time — before ever occupying a batch
-    /// slot — and answered [`ServeError::DeadlineExceeded`]. `None` (and
-    /// the plain [`ServerHandle::submit`]) never expires.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline_inner(venue, &self.shared.stats.venue(venue), rssi, deadline)
-    }
-
-    /// The shared body of the blocking submits: takes the venue's stats
-    /// block so [`VenueHandle`] can pass its cached `Arc` and skip the
-    /// per-request map lookup.
-    fn submit_deadline_inner(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (req, rx) = self.request(venue, rssi, deadline);
-        // Count the request in *before* the push: a fast executor may pull
-        // and complete it before this thread runs again, and queue_depth
-        // must never transiently underflow.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        if self.queue.push(req).is_err() {
-            self.shared.stats.record_enqueue_aborted();
-            vstats.record_enqueue_aborted();
-            return Err(ServeError::ShuttingDown);
-        }
+    /// accepts requests, or [`ServeError::UnknownVenue`] when the venue is
+    /// not published.
+    pub fn submit(&self, req: LocateRequest) -> Result<PendingLocate, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        // A client that gave up and dropped its ticket is not an error.
+        self.enqueue(req, Reply::new(Box::new(move |result| drop(tx.send(result)))), true)?;
         Ok(PendingLocate { rx })
     }
 
-    /// Like [`ServerHandle::submit`], but fails fast with
-    /// [`ServeError::QueueFull`] (shared capacity exhausted) or
-    /// [`ServeError::VenueQueueFull`] (the venue's own cap hit) instead of
-    /// blocking when the bounded queue has no slot.
+    /// Enqueues a request without waiting, delivering the answer by
+    /// invoking `reply` from the executor thread — the submit path a wire
+    /// front-end uses to write responses back in **completion order** (a
+    /// shed response for a late request can overtake the answer to an
+    /// earlier queued one).
     ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit(&self, venue: &str, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline(venue, rssi, None)
-    }
-
-    /// [`ServerHandle::try_submit`] with an optional deadline budget (see
-    /// [`ServerHandle::submit_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline_inner(venue, &self.shared.stats.venue(venue), rssi, deadline)
-    }
-
-    /// The shared body of the fail-fast ticket submits (see
-    /// [`ServerHandle::submit_deadline_inner`] for why `vstats` is a
-    /// parameter).
-    fn try_submit_deadline_inner(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (req, rx) = self.request(venue, rssi, deadline);
-        // Same enqueue-before-push ordering as `submit`.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        match self.queue.try_push(req) {
-            Ok(()) => Ok(PendingLocate { rx }),
-            Err(e) => {
-                self.shared.stats.record_enqueue_aborted();
-                vstats.record_enqueue_aborted();
-                match e {
-                    TryPushError::GlobalFull(_) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_global();
-                        Err(ServeError::QueueFull)
-                    }
-                    TryPushError::VenueFull(_) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_venue();
-                        Err(ServeError::VenueQueueFull { venue: venue.to_string() })
-                    }
-                    TryPushError::Closed(_) => Err(ServeError::ShuttingDown),
-                }
-            }
-        }
-    }
-
-    /// Like [`ServerHandle::try_submit`], but the answer is delivered by
-    /// invoking `reply` from the executor thread instead of through a
-    /// [`PendingLocate`] ticket — the submit path a wire front-end uses to
-    /// write responses back in **completion order** (a shed response for a
-    /// late request can overtake the answer to an earlier queued one).
-    ///
-    /// The callback is invoked **exactly once** for every call, including
-    /// failed submits: on [`ServeError::QueueFull`] /
-    /// [`ServeError::VenueQueueFull`] / [`ServeError::ShuttingDown`] it
-    /// fires inline with that error (and the same error is also returned,
-    /// so the caller can stop reading without inspecting responses). If the
+    /// The callback is invoked **exactly once** for every call. A refused
+    /// submit — [`ServeError::QueueFull`] (shared capacity exhausted),
+    /// [`ServeError::VenueQueueFull`] (the venue's own cap hit),
+    /// [`ServeError::UnknownVenue`] or [`ServeError::ShuttingDown`] — fires
+    /// it inline with that error, and the same error is also returned so
+    /// the caller can stop reading without inspecting responses. If the
     /// server is torn down with the request still queued, the callback
     /// fires with `ShuttingDown`.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with<F>(&self, venue: &str, rssi: &[f32], reply: F) -> Result<(), ServeError>
+    /// Returns the refusal; the callback has already been invoked with the
+    /// same error.
+    pub fn try_submit<F>(&self, req: LocateRequest, reply: F) -> Result<(), ServeError>
     where
         F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
     {
-        self.try_submit_with_deadline(venue, rssi, None, reply)
+        self.enqueue(req, Reply::new(Box::new(reply)), false)
     }
 
-    /// [`ServerHandle::try_submit_with`] with an optional deadline budget
-    /// (see [`ServerHandle::submit_deadline`]) — the submit path the wire
-    /// front-end uses for v2 requests carrying a deadline. An expired
-    /// request's callback fires with [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline<F>(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced(venue, rssi, deadline, 0, reply)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline`] carrying an explicit
-    /// trace ID — the submit path a wire front-end uses to correlate a
-    /// request's stage spans with the client that sent it. `trace_id = 0`
-    /// means "untraced caller": a fresh ID is minted when tracing is
-    /// enabled server-side, and the request stays untraced otherwise. A
-    /// nonzero ID (a v3 wire frame's `trace_id` field) is carried through
-    /// verbatim, so spans recorded here can be joined with client-side
-    /// timings by ID.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline_traced<F>(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced_inner(
-            venue,
-            &self.shared.stats.venue(venue),
-            rssi,
-            deadline,
-            trace_id,
-            reply,
-        )
-    }
-
-    /// The shared body of the callback submits (see
-    /// [`ServerHandle::submit_deadline_inner`] for why `vstats` is a
-    /// parameter).
-    fn try_submit_with_deadline_traced_inner<F>(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        let cb = ReplyCallback::new(Box::new(reply));
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            cb.call(Err(ServeError::ShuttingDown));
-            return Err(ServeError::ShuttingDown);
-        }
-        let now = Instant::now();
-        let req = Request {
-            venue: venue.to_string(),
-            rssi: rssi.to_vec(),
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            trace_id: if trace_id != 0 { trace_id } else { fresh_trace_id() },
-            reply: Reply::Callback(cb),
-        };
-        // Same enqueue-before-push ordering as `submit`.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        let reclaim = |req: Request| match req.reply {
-            Reply::Callback(cb) => cb,
-            Reply::Channel(_) => unreachable!("submitted request carries a callback reply"),
-        };
-        match self.queue.try_push(req) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.shared.stats.record_enqueue_aborted();
-                vstats.record_enqueue_aborted();
-                match e {
-                    TryPushError::GlobalFull(req) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_global();
-                        reclaim(req).call(Err(ServeError::QueueFull));
-                        Err(ServeError::QueueFull)
-                    }
-                    TryPushError::VenueFull(req) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_venue();
-                        let err = ServeError::VenueQueueFull { venue: venue.to_string() };
-                        reclaim(req).call(Err(err.clone()));
-                        Err(err)
-                    }
-                    TryPushError::Closed(req) => {
-                        reclaim(req).call(Err(ServeError::ShuttingDown));
-                        Err(ServeError::ShuttingDown)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Submits one scan and blocks until its answer arrives.
+    /// Submits one scan (no deadline) and blocks until its answer arrives.
     ///
     /// # Errors
     ///
     /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
     /// blocks instead).
     pub fn locate(&self, venue: &str, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.submit(venue, rssi)?.wait()
+        self.submit(LocateRequest::new(venue, rssi))?.wait()
     }
 
-    /// [`ServerHandle::locate`] with a deadline budget: blocks until the
-    /// answer arrives or the request expires in queue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
-    /// blocks instead); [`ServeError::DeadlineExceeded`] when the budget
-    /// elapsed before a batch executed the request.
-    pub fn locate_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Duration,
-    ) -> Result<LocateResponse, ServeError> {
-        self.submit_deadline(venue, rssi, Some(deadline))?.wait()
-    }
-
-    /// Submits one scan, failing fast when the queue is full, and blocks
-    /// until its answer arrives.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`], including `QueueFull`/`VenueQueueFull`.
-    pub fn try_locate(&self, venue: &str, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.try_submit(venue, rssi)?.wait()
+    fn enqueue(&self, req: LocateRequest, reply: Reply, wait: bool) -> Result<(), ServeError> {
+        // One Instant::now() stamps both: the deadline budget counts from
+        // the moment of submission, queueing time included.
+        let now = Instant::now();
+        let request = Request {
+            venue: req.venue,
+            rssi: req.rssi,
+            enqueued: now,
+            deadline: req.deadline.map(|d| now + d),
+            trace_id: if req.trace_id != 0 { req.trace_id } else { fresh_trace_id() },
+            reply,
+        };
+        self.queue.push(request, wait)
     }
 
     /// A point-in-time copy of the server's counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.queue.stats()
     }
 
     /// The current [`BreakerState`] of every venue a batch has touched,
@@ -782,186 +499,11 @@ impl ServerHandle {
     pub fn breaker_states(&self) -> Vec<(String, BreakerState)> {
         self.shared.breakers.snapshot_states()
     }
-
-    /// A handle pinned to one venue that caches the venue's stats block.
-    ///
-    /// Every plain submit pays one `RwLock` read + `Arc` clone on the
-    /// shared per-venue stats map; a [`VenueHandle`] pays it **once, here**,
-    /// and every subsequent submit records against the cached block
-    /// lock-free. This is the hot-path handle for callers that send many
-    /// requests to the same venue — a wire connection, a loadgen worker
-    /// (the before/after is measured in docs/PERFORMANCE.md).
-    #[must_use]
-    pub fn venue_handle(&self, venue: &str) -> VenueHandle {
-        VenueHandle {
-            vstats: self.shared.stats.venue(venue),
-            venue: venue.to_string(),
-            handle: self.clone(),
-        }
-    }
-}
-
-/// A [`ServerHandle`] pinned to one venue, holding the venue's stats block
-/// so submits skip the per-request stats-map read lock (see
-/// [`ServerHandle::venue_handle`]). Cloneable; clones share the cache.
-#[derive(Clone)]
-pub struct VenueHandle {
-    handle: ServerHandle,
-    venue: String,
-    vstats: Arc<VenueStats>,
-}
-
-impl VenueHandle {
-    /// The venue this handle is pinned to.
-    #[must_use]
-    pub fn venue(&self) -> &str {
-        &self.venue
-    }
-
-    /// [`ServerHandle::submit`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit(&self, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline(rssi, None)
-    }
-
-    /// [`ServerHandle::submit_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.handle.submit_deadline_inner(&self.venue, &self.vstats, rssi, deadline)
-    }
-
-    /// [`ServerHandle::try_submit`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit(&self, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline(rssi, None)
-    }
-
-    /// [`ServerHandle::try_submit_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.handle.try_submit_deadline_inner(&self.venue, &self.vstats, rssi, deadline)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline<F>(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced(rssi, deadline, 0, reply)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline_traced`] against the pinned
-    /// venue — the per-connection hot path of the wire front-end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline_traced<F>(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.handle.try_submit_with_deadline_traced_inner(
-            &self.venue,
-            &self.vstats,
-            rssi,
-            deadline,
-            trace_id,
-            reply,
-        )
-    }
-
-    /// [`ServerHandle::locate`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
-    /// blocks instead).
-    pub fn locate(&self, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.submit(rssi)?.wait()
-    }
-
-    /// [`ServerHandle::locate_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull`;
-    /// [`ServeError::DeadlineExceeded`] when the budget elapsed first.
-    pub fn locate_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Duration,
-    ) -> Result<LocateResponse, ServeError> {
-        self.submit_deadline(rssi, Some(deadline))?.wait()
-    }
-
-    /// [`ServerHandle::try_locate`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`], including `QueueFull`/`VenueQueueFull`.
-    pub fn try_locate(&self, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.try_submit(rssi)?.wait()
-    }
-
-    /// A point-in-time copy of the pinned venue's counters.
-    #[must_use]
-    pub fn stats(&self) -> VenueStatsSnapshot {
-        self.vstats.snapshot(&self.venue)
-    }
-}
-
-impl std::fmt::Debug for VenueHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VenueHandle({:?})", self.venue)
-    }
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ServerHandle(queue_depth={})", self.shared.stats.snapshot().queue_depth)
+        write!(f, "ServerHandle({:?})", self.queue)
     }
 }
 

@@ -1,18 +1,17 @@
 //! Server observability: queue depth, batch-size histogram, latency
 //! percentiles — aggregate *and* per venue.
 //!
-//! The live [`ServerStats`] is a block of atomics shared between client
-//! handles and batch executors — recording a request costs a handful of
-//! relaxed atomic increments, never a lock on the hot path (the per-venue
-//! counters sit behind an `RwLock`ed map, but a request only ever takes the
-//! read side once to clone an `Arc`). [`StatsSnapshot`] is the plain-data
-//! copy handed to callers; percentiles are computed on the snapshot so the
-//! hot path never sorts anything.
+//! The live counters are one [`VenueStats`] block of atomics per venue,
+//! owned by the venue's queue shard: a push records into it under the
+//! queue lock it already holds, and the executor records into the block
+//! its collected batch carries — a handful of relaxed atomic increments,
+//! no lookup. [`StatsSnapshot`] is the plain-data copy handed to callers:
+//! the venue blocks plus their field-wise sum as the aggregate. Percentiles
+//! are computed on the snapshot so the hot path never sorts anything.
 //!
-//! Since PR 8 the server executes **single-venue** batches (the
-//! venue-sharded scheduler), so the per-venue batch-size histograms are the
-//! direct observability of venue-affine coalescing: the aggregate histogram
-//! is exactly the sum of the venue histograms.
+//! The server executes **single-venue** batches (the venue-sharded
+//! scheduler), so the per-venue batch-size histograms are the direct
+//! observability of venue-affine coalescing.
 //!
 //! Latencies land in power-of-two microsecond buckets (bucket `i` holds
 //! `[2^i, 2^(i+1))` µs), which bounds the memory at a fixed 40 counters
@@ -24,9 +23,7 @@
 //! helpers, so the wire admin endpoint, the loadgen and any scrape
 //! tooling all read one canonical shape.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use stone_obs::metrics::{write_pow2_histogram, write_sample, write_type, HIST_BUCKETS};
@@ -107,8 +104,7 @@ fn hist_mean_batch(hist: &[u64]) -> f64 {
     requests as f64 / batches as f64
 }
 
-/// Live counters of one venue's traffic — same recording discipline as the
-/// aggregate block, one instance per venue ever seen by a submit path.
+/// Live counters of one venue's traffic, one instance per queue shard.
 #[derive(Debug)]
 pub(crate) struct VenueStats {
     /// Requests currently enqueued or being executed.
@@ -136,7 +132,7 @@ pub(crate) struct VenueStats {
 }
 
 impl VenueStats {
-    fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(max_batch: usize) -> Self {
         Self {
             queue_depth: AtomicUsize::new(0),
             enqueued: AtomicU64::new(0),
@@ -155,13 +151,6 @@ impl VenueStats {
     pub(crate) fn record_enqueued(&self) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reverts a [`VenueStats::record_enqueued`] whose push never reached
-    /// the sub-queue (shed or shutting down).
-    pub(crate) fn record_enqueue_aborted(&self) {
-        self.enqueued.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed_global(&self) {
@@ -213,121 +202,6 @@ impl VenueStats {
             fast_failed: self.fast_failed.load(Ordering::Relaxed),
             batch_hist: self.batch_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
             latency_hist: self.latency_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        }
-    }
-}
-
-/// Shared live counters of one [`crate::LocalizationServer`].
-#[derive(Debug)]
-pub(crate) struct ServerStats {
-    /// Requests currently enqueued or being executed.
-    queue_depth: AtomicUsize,
-    /// Requests accepted into the queue since startup.
-    enqueued: AtomicU64,
-    /// Requests answered (successfully or with a per-request error).
-    completed: AtomicU64,
-    /// Requests rejected at the door because a bounded queue (global or
-    /// per-venue) was full.
-    rejected: AtomicU64,
-    /// Requests whose deadline expired before a batch executed them.
-    expired: AtomicU64,
-    /// Batches whose model call panicked (isolated; failed as `Internal`).
-    panicked_batches: AtomicU64,
-    /// `batch_hist[s - 1]` counts executed batches of size `s`.
-    batch_hist: Vec<AtomicU64>,
-    /// Power-of-two microsecond latency buckets (enqueue → reply).
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
-    /// Per-venue breakdowns, created lazily on a venue's first submit.
-    venues: RwLock<HashMap<String, Arc<VenueStats>>>,
-    /// Histogram width for lazily created venue blocks.
-    max_batch: usize,
-}
-
-impl ServerStats {
-    pub(crate) fn new(max_batch: usize) -> Self {
-        Self {
-            queue_depth: AtomicUsize::new(0),
-            enqueued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            panicked_batches: AtomicU64::new(0),
-            batch_hist: (0..max_batch).map(|_| AtomicU64::new(0)).collect(),
-            latency_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            venues: RwLock::new(HashMap::new()),
-            max_batch,
-        }
-    }
-
-    /// The venue's counter block, created on first touch. Hot path: one
-    /// read-lock + `Arc` clone per request (submit paths look it up once
-    /// and thread the `Arc` through).
-    pub(crate) fn venue(&self, venue: &str) -> Arc<VenueStats> {
-        if let Some(v) = self.venues.read().unwrap_or_else(|e| e.into_inner()).get(venue) {
-            return Arc::clone(v);
-        }
-        let mut venues = self.venues.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            venues
-                .entry(venue.to_string())
-                .or_insert_with(|| Arc::new(VenueStats::new(self.max_batch))),
-        )
-    }
-
-    pub(crate) fn record_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reverts a [`ServerStats::record_enqueued`] whose send never reached
-    /// the queue (channel full or disconnected).
-    pub(crate) fn record_enqueue_aborted(&self) {
-        self.enqueued.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_panicked_batch(&self) {
-        self.panicked_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batch(&self, size: usize) {
-        debug_assert!(size >= 1 && size <= self.batch_hist.len());
-        self.batch_hist[size - 1].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_completed(&self, latency: Duration) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_hist[latency_bucket(latency)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let mut venues: Vec<VenueStatsSnapshot> = self
-            .venues
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, v)| v.snapshot(name))
-            .collect();
-        venues.sort_by(|a, b| a.venue.cmp(&b.venue));
-        StatsSnapshot {
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            panicked_batches: self.panicked_batches.load(Ordering::Relaxed),
-            batch_hist: self.batch_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            latency_hist: self.latency_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            venues,
         }
     }
 }
@@ -431,7 +305,7 @@ pub struct StatsSnapshot {
     pub completed: u64,
     /// Requests rejected because a bounded queue was full — global capacity
     /// and per-venue cap rejections both land here
-    /// ([`crate::ServerHandle::try_locate`] backpressure); the per-venue
+    /// ([`crate::ServerHandle::try_submit`] backpressure); the per-venue
     /// entries in [`StatsSnapshot::venues`] split the two causes.
     pub rejected: u64,
     /// Requests whose deadline expired before a batch executed them, across
@@ -445,12 +319,44 @@ pub struct StatsSnapshot {
     /// Power-of-two microsecond latency buckets: `latency_hist[i]` counts
     /// requests whose enqueue→reply latency fell in `[2^i, 2^(i+1))` µs.
     pub latency_hist: Vec<u64>,
-    /// Per-venue breakdowns, sorted by venue name. A venue appears once any
-    /// submit path has touched it (including submits that were shed).
+    /// Per-venue breakdowns, sorted by venue name. A published venue
+    /// appears once any submit has reached it (including submits that were
+    /// shed); every aggregate field above is the sum of these.
     pub venues: Vec<VenueStatsSnapshot>,
 }
 
+/// Element-wise sum of equal-width histograms into `acc`.
+fn add_hist(acc: &mut [u64], hist: &[u64]) {
+    for (a, &c) in acc.iter_mut().zip(hist) {
+        *a += c;
+    }
+}
+
 impl StatsSnapshot {
+    /// The aggregate of `venues`: every counter and histogram is the
+    /// field-wise sum of the venue blocks (`rejected` sums both shed
+    /// causes). `max_batch` sizes the batch histogram.
+    pub(crate) fn from_venues(mut venues: Vec<VenueStatsSnapshot>, max_batch: usize) -> Self {
+        venues.sort_by(|a, b| a.venue.cmp(&b.venue));
+        let mut batch_hist = vec![0; max_batch];
+        let mut latency_hist = vec![0; LATENCY_BUCKETS];
+        for v in &venues {
+            add_hist(&mut batch_hist, &v.batch_hist);
+            add_hist(&mut latency_hist, &v.latency_hist);
+        }
+        Self {
+            queue_depth: venues.iter().map(|v| v.queue_depth).sum(),
+            enqueued: venues.iter().map(|v| v.enqueued).sum(),
+            completed: venues.iter().map(|v| v.completed).sum(),
+            rejected: venues.iter().map(VenueStatsSnapshot::shed).sum(),
+            expired: venues.iter().map(|v| v.expired).sum(),
+            panicked_batches: venues.iter().map(|v| v.panicked_batches).sum(),
+            batch_hist,
+            latency_hist,
+            venues,
+        }
+    }
+
     /// Number of batches executed.
     #[must_use]
     pub fn batches(&self) -> u64 {
@@ -618,13 +524,18 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// The snapshot of a server whose only venue recorded into `v`.
+    fn snap(v: &VenueStats, max_batch: usize) -> StatsSnapshot {
+        StatsSnapshot::from_venues(vec![v.snapshot("office")], max_batch)
+    }
+
     #[test]
     fn batch_histogram_counts_by_size() {
-        let stats = ServerStats::new(4);
+        let stats = VenueStats::new(4);
         stats.record_batch(1);
         stats.record_batch(3);
         stats.record_batch(3);
-        let snap = stats.snapshot();
+        let snap = snap(&stats, 4);
         assert_eq!(snap.batch_hist, vec![1, 0, 2, 0]);
         assert_eq!(snap.batches(), 3);
         assert_eq!(snap.coalesced_batches(), 2);
@@ -634,12 +545,12 @@ mod tests {
 
     #[test]
     fn queue_depth_tracks_enqueue_and_complete() {
-        let stats = ServerStats::new(2);
+        let stats = VenueStats::new(2);
         stats.record_enqueued();
         stats.record_enqueued();
-        assert_eq!(stats.snapshot().queue_depth, 2);
+        assert_eq!(snap(&stats, 2).queue_depth, 2);
         stats.record_completed(Duration::from_micros(10));
-        let snap = stats.snapshot();
+        let snap = snap(&stats, 2);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.enqueued, 2);
         assert_eq!(snap.completed, 1);
@@ -647,13 +558,13 @@ mod tests {
 
     #[test]
     fn latency_quantiles_interpolate_within_buckets() {
-        let stats = ServerStats::new(1);
+        let stats = VenueStats::new(1);
         // 99 fast requests (~8 µs bucket [8, 16)), 1 slow (~1024 µs).
         for _ in 0..99 {
             stats.record_completed(Duration::from_micros(9));
         }
         stats.record_completed(Duration::from_micros(1500));
-        let snap = stats.snapshot();
+        let snap = snap(&stats, 1);
         // Rank ceil(0.5 * 100) = 50, the 50th of 99 bucket occupants:
         // 8 µs · (1 + 50/99) = 12040.40… ns.
         assert_eq!(snap.p50(), Some(Duration::from_nanos(12040)));
@@ -665,12 +576,12 @@ mod tests {
 
     #[test]
     fn extreme_quantiles_clamp_to_first_and_last_rank() {
-        let stats = ServerStats::new(1);
+        let stats = VenueStats::new(1);
         // Four records in the [8, 16) µs bucket.
         for _ in 0..4 {
             stats.record_completed(Duration::from_micros(9));
         }
-        let snap = stats.snapshot();
+        let snap = snap(&stats, 1);
         // q = 0 → rank clamps to 1 of 4: 8 µs · (1 + 1/4) = 10 µs.
         assert_eq!(snap.latency_quantile(0.0), Some(Duration::from_micros(10)));
         // q = 1 → rank 4 of 4: the bucket's 16 µs upper edge.
@@ -679,10 +590,10 @@ mod tests {
 
     #[test]
     fn absurd_latencies_clamp_into_top_bucket() {
-        let stats = ServerStats::new(1);
+        let stats = VenueStats::new(1);
         // ~116 days — far beyond the 2^39 µs last bucket's lower edge.
         stats.record_completed(Duration::from_secs(10_000_000));
-        let snap = stats.snapshot();
+        let snap = snap(&stats, 1);
         assert_eq!(snap.latency_hist[LATENCY_BUCKETS - 1], 1);
         // Sole occupant interpolates to the top bucket's 2^40 µs upper edge.
         assert_eq!(snap.latency_quantile(1.0), Some(Duration::from_micros(1 << 40)));
@@ -690,21 +601,18 @@ mod tests {
 
     #[test]
     fn exposition_round_trips_through_the_obs_parser() {
-        let stats = ServerStats::new(4);
-        stats.record_enqueued();
-        stats.record_enqueued();
-        stats.record_batch(2);
-        stats.record_completed(Duration::from_micros(9));
-        stats.record_completed(Duration::from_micros(1500));
-        stats.record_rejected();
-        let v = stats.venue("hall-a");
-        v.record_enqueued();
-        v.record_batch(1);
-        v.record_completed(Duration::from_micros(9));
-        v.record_shed_venue();
-        v.record_breaker_trip();
+        let a = VenueStats::new(4);
+        a.record_enqueued();
+        a.record_completed(Duration::from_micros(9));
+        a.record_shed_venue();
+        a.record_breaker_trip();
+        let b = VenueStats::new(4);
+        b.record_enqueued();
+        b.record_batch(2);
+        b.record_completed(Duration::from_micros(1500));
 
-        let text = stats.snapshot().exposition();
+        let snap = StatsSnapshot::from_venues(vec![a.snapshot("hall-a"), b.snapshot("hall-b")], 4);
+        let text = snap.exposition();
         let samples = stone_obs::parse_exposition(&text).expect("exposition parses");
         let find = |name: &str, labels: &[(&str, &str)]| -> f64 {
             samples
@@ -734,7 +642,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_no_quantiles() {
-        let snap = ServerStats::new(1).snapshot();
+        let snap = StatsSnapshot::from_venues(Vec::new(), 1);
         assert_eq!(snap.p50(), None);
         assert_eq!(snap.mean_batch_size(), 0.0);
         assert!(snap.venues.is_empty());
@@ -742,26 +650,23 @@ mod tests {
 
     #[test]
     fn sub_microsecond_latencies_clamp_into_first_bucket() {
-        let stats = ServerStats::new(1);
+        let stats = VenueStats::new(1);
         stats.record_completed(Duration::from_nanos(1));
-        assert_eq!(stats.snapshot().latency_quantile(1.0), Some(Duration::from_micros(2)));
+        assert_eq!(snap(&stats, 1).latency_quantile(1.0), Some(Duration::from_micros(2)));
     }
 
     #[test]
     fn venue_breakdowns_split_shed_causes_and_sort_by_name() {
-        let stats = ServerStats::new(4);
-        let b = stats.venue("b");
-        let a = stats.venue("a");
+        let a = VenueStats::new(4);
         a.record_enqueued();
         a.record_batch(1);
         a.record_completed(Duration::from_micros(9));
-        b.record_enqueued();
-        b.record_enqueue_aborted();
+        let b = VenueStats::new(4);
         b.record_shed_global();
         b.record_shed_venue();
         b.record_shed_venue();
 
-        let snap = stats.snapshot();
+        let snap = StatsSnapshot::from_venues(vec![b.snapshot("b"), a.snapshot("a")], 4);
         let names: Vec<&str> = snap.venues.iter().map(|v| v.venue.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
         let a = snap.venue("a").expect("venue a tracked");
@@ -770,12 +675,10 @@ mod tests {
         assert!((a.mean_batch_size() - 1.0).abs() < 1e-12);
         assert_eq!(a.p50(), Some(Duration::from_micros(16)));
         let b = snap.venue("b").expect("venue b tracked");
-        assert_eq!((b.enqueued, b.queue_depth), (0, 0), "aborted enqueue reverted");
+        assert_eq!((b.enqueued, b.queue_depth), (0, 0), "a shed request is never enqueued");
         assert_eq!((b.shed_global, b.shed_venue, b.shed()), (1, 2, 3));
         assert_eq!(b.p50(), None);
         assert!(snap.venue("c").is_none());
-        // The same Arc is returned on re-lookup.
-        stats.venue("a").record_enqueued();
-        assert_eq!(stats.snapshot().venue("a").expect("venue a").enqueued, 2);
+        assert_eq!(snap.rejected, 3, "the aggregate sums both shed causes");
     }
 }

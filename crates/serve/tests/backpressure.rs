@@ -1,6 +1,6 @@
 //! The in-process half of the backpressure contract (satellite 3): with a
 //! paused server and a queue of capacity K, exactly the overflow beyond K
-//! is shed, the stats ledger matches, and the `try_submit_with` callback
+//! is shed, the stats ledger matches, and the `try_submit` callback
 //! fires exactly once per request — including across shutdown.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
-use stone_serve::{LocalizationServer, ModelRegistry, ServeError, ServerConfig};
+use stone_serve::{LocalizationServer, LocateRequest, ModelRegistry, ServeError, ServerConfig};
 
 const CAPACITY: usize = 4;
 const SUBMITTED: usize = 9;
@@ -46,13 +46,14 @@ fn overflow_beyond_capacity_is_shed_exactly() {
 
     // Paused: the executors are parked, so "queue full" is a state we set
     // up exactly, not a race we hope to win.
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         registry,
         ServerConfig {
             max_batch: 16,
             max_wait: Duration::ZERO,
             queue_capacity: CAPACITY,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
@@ -63,9 +64,12 @@ fn overflow_beyond_capacity_is_shed_exactly() {
     let mut returns = Vec::new();
     for i in 0..SUBMITTED {
         let outcomes = Arc::clone(&outcomes);
-        returns.push(handle.try_submit_with("office", &scan, move |result| {
-            outcomes.lock().expect("outcomes").push((i, result.map(|r| r.model_version)));
-        }));
+        returns.push(handle.try_submit(
+            LocateRequest::new("office", scan.clone()),
+            move |result| {
+                outcomes.lock().expect("outcomes").push((i, result.map(|r| r.model_version)));
+            },
+        ));
     }
 
     // The first K submissions were accepted; the rest were refused at the
@@ -84,7 +88,7 @@ fn overflow_beyond_capacity_is_shed_exactly() {
     }
     let stats = server.stats();
     assert_eq!(stats.rejected as usize, SUBMITTED - CAPACITY);
-    assert_eq!(stats.enqueued as usize, CAPACITY, "aborted enqueues are reverted");
+    assert_eq!(stats.enqueued as usize, CAPACITY, "shed requests are never enqueued");
     assert_eq!(stats.queue_depth, CAPACITY);
     assert_eq!(stats.completed, 0, "nothing executed while paused");
 
@@ -117,13 +121,14 @@ fn callbacks_fire_exactly_once_across_shutdown() {
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("office", tiny_localizer(&suite.train, 1));
 
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         registry,
         ServerConfig {
             max_batch: 16,
             max_wait: Duration::ZERO,
             queue_capacity: 8,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
@@ -135,7 +140,7 @@ fn callbacks_fire_exactly_once_across_shutdown() {
         let fired = Arc::clone(&fired);
         let ok = Arc::clone(&ok);
         handle
-            .try_submit_with("office", &scan, move |result| {
+            .try_submit(LocateRequest::new("office", scan.clone()), move |result| {
                 fired.fetch_add(1, Ordering::SeqCst);
                 if result.is_ok() {
                     ok.fetch_add(1, Ordering::SeqCst);
@@ -154,7 +159,7 @@ fn callbacks_fire_exactly_once_across_shutdown() {
     // After shutdown the callback still fires exactly once — inline, with
     // ShuttingDown.
     let fired_in_cb = Arc::clone(&fired);
-    let r = handle.try_submit_with("office", &scan, move |result| {
+    let r = handle.try_submit(LocateRequest::new("office", scan.clone()), move |result| {
         assert!(matches!(result, Err(ServeError::ShuttingDown)));
         fired_in_cb.fetch_add(1, Ordering::SeqCst);
     });

@@ -13,7 +13,8 @@ use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
 use stone_par::with_threads;
 use stone_serve::{
-    corrupt_blob, ChaosConfig, LocalizationServer, ModelRegistry, ServeError, ServerConfig,
+    corrupt_blob, ChaosConfig, LocalizationServer, LocateRequest, ModelRegistry, ServeError,
+    ServerConfig,
 };
 
 fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> StoneLocalizer {
@@ -45,6 +46,10 @@ fn quick_config() -> ServerConfig {
     ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
 }
 
+fn paused_config() -> ServerConfig {
+    ServerConfig { start_paused: true, ..quick_config() }
+}
+
 /// Requests whose deadline lapses while queued answer `DeadlineExceeded`
 /// and never occupy a batch slot; requests without a deadline (or with
 /// budget to spare) are untouched. Paused executors make the race-free
@@ -56,7 +61,7 @@ fn expired_requests_never_reach_the_model() {
     let registry = Arc::new(ModelRegistry::new());
     registry.publish_bytes("office", &blob).expect("publish");
 
-    let mut server = LocalizationServer::start_paused(Arc::clone(&registry), quick_config());
+    let mut server = LocalizationServer::start(Arc::clone(&registry), paused_config());
     let handle = server.handle();
 
     // 3 requests with a 5 ms budget, 3 with none, interleaved.
@@ -65,10 +70,17 @@ fn expired_requests_never_reach_the_model() {
     for _ in 0..3 {
         doomed.push(
             handle
-                .submit_deadline("office", &scan, Some(Duration::from_millis(5)))
+                .submit(LocateRequest {
+                    deadline: Some(Duration::from_millis(5)),
+                    ..LocateRequest::new("office", scan.clone())
+                })
                 .expect("accepts while paused"),
         );
-        alive.push(handle.submit("office", &scan).expect("accepts while paused"));
+        alive.push(
+            handle
+                .submit(LocateRequest::new("office", scan.clone()))
+                .expect("accepts while paused"),
+        );
     }
     std::thread::sleep(Duration::from_millis(20));
     server.resume();
@@ -103,7 +115,11 @@ fn unexpired_deadlines_do_not_drop_requests() {
     registry.publish_bytes("office", &blob).expect("publish");
     let mut server = LocalizationServer::start(Arc::clone(&registry), quick_config());
     let handle = server.handle();
-    let resp = handle.locate_deadline("office", &scan, Duration::from_secs(30)).expect("in budget");
+    let req = LocateRequest {
+        deadline: Some(Duration::from_secs(30)),
+        ..LocateRequest::new("office", scan.clone())
+    };
+    let resp = handle.submit(req).and_then(|t| t.wait()).expect("in budget");
     assert_eq!(resp.model_version, 1);
     let stats = server.stats();
     server.shutdown();
@@ -131,10 +147,14 @@ fn breaker_trips_rolls_back_and_recloses_across_thread_budgets() {
             // Panic every batch that executes against v2; v1 is healthy.
             let chaos = ChaosConfig::none().with_panic("office", Some(2), None);
             let cooldown = Duration::from_millis(40);
-            let mut server = LocalizationServer::start_with_chaos(
+            let mut server = LocalizationServer::start(
                 Arc::clone(&registry),
-                ServerConfig { breaker_threshold: 2, breaker_cooldown: cooldown, ..quick_config() },
-                chaos,
+                ServerConfig {
+                    breaker_threshold: 2,
+                    breaker_cooldown: cooldown,
+                    chaos: Some(chaos),
+                    ..quick_config()
+                },
             );
             let handle = server.handle();
 
@@ -186,10 +206,9 @@ fn breaker_threshold_zero_disables_tripping() {
     registry.publish_bytes("office", &blob).expect("publish");
 
     let chaos = ChaosConfig::none().with_panic("office", None, None);
-    let mut server = LocalizationServer::start_with_chaos(
+    let mut server = LocalizationServer::start(
         Arc::clone(&registry),
-        ServerConfig { breaker_threshold: 0, ..quick_config() },
-        chaos,
+        ServerConfig { breaker_threshold: 0, chaos: Some(chaos), ..quick_config() },
     );
     let handle = server.handle();
     for _ in 0..4 {
@@ -217,10 +236,9 @@ fn panicking_venue_does_not_affect_others() {
     registry.publish_bytes("flaky", &blob).expect("publish");
 
     let chaos = ChaosConfig::none().with_panic("flaky", None, None);
-    let mut server = LocalizationServer::start_with_chaos(
+    let mut server = LocalizationServer::start(
         Arc::clone(&registry),
-        ServerConfig { breaker_threshold: 2, ..quick_config() },
-        chaos,
+        ServerConfig { breaker_threshold: 2, chaos: Some(chaos), ..quick_config() },
     );
     let handle = server.handle();
     for _ in 0..3 {
@@ -245,8 +263,10 @@ fn stall_chaos_delays_but_answers() {
 
     let stall = Duration::from_millis(30);
     let chaos = ChaosConfig::none().with_stall("office", None, stall, Some(1));
-    let mut server =
-        LocalizationServer::start_with_chaos(Arc::clone(&registry), quick_config(), chaos);
+    let mut server = LocalizationServer::start(
+        Arc::clone(&registry),
+        ServerConfig { chaos: Some(chaos), ..quick_config() },
+    );
     let handle = server.handle();
 
     let t0 = Instant::now();
@@ -316,10 +336,13 @@ fn remove_then_republish_venue_with_queued_requests() {
     let registry = Arc::new(ModelRegistry::new());
     registry.publish_bytes("office", &blob).expect("publish");
 
-    let mut server = LocalizationServer::start_paused(Arc::clone(&registry), quick_config());
+    let mut server = LocalizationServer::start(Arc::clone(&registry), paused_config());
     let handle = server.handle();
-    let tickets: Vec<_> =
-        (0..4).map(|_| handle.submit("office", &scan).expect("accepts while paused")).collect();
+    let tickets: Vec<_> = (0..4)
+        .map(|_| {
+            handle.submit(LocateRequest::new("office", scan.clone())).expect("accepts while paused")
+        })
+        .collect();
 
     assert!(registry.remove("office"));
     server.resume();

@@ -5,14 +5,14 @@
 //! kernel thread budgets.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
 use stone_net::{NetClient, NetServer, WireStatus};
 use stone_par::with_threads;
-use stone_serve::{LocalizationServer, ModelRegistry, ServeError, ServerConfig};
+use stone_serve::{LocalizationServer, LocateRequest, ModelRegistry, ServeError, ServerConfig};
 
 fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> StoneLocalizer {
     StoneBuilder::from_config(StoneConfig {
@@ -43,6 +43,18 @@ fn registry_for(venues: &[String], seed: u64) -> (Arc<ModelRegistry>, Vec<f32>) 
     (registry, scan)
 }
 
+/// A fail-fast submit whose answer arrives on a channel: the ticket form of
+/// `try_submit`'s callback.
+fn try_ticket(
+    handle: &stone_serve::ServerHandle,
+    venue: &str,
+    scan: &[f32],
+) -> Result<mpsc::Receiver<Result<stone_serve::LocateResponse, ServeError>>, ServeError> {
+    let (tx, rx) = mpsc::channel();
+    handle.try_submit(LocateRequest::new(venue, scan), move |result| drop(tx.send(result)))?;
+    Ok(rx)
+}
+
 /// With `max_wait = 0` every queued head is overdue, so the scheduler runs
 /// strictly oldest-venue-first while still draining whole venues: requests
 /// interleaved as hot×8, cold-0..2, hot×8 complete as exactly that venue
@@ -53,13 +65,14 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
     let venues: Vec<String> =
         ["hot", "cold-0", "cold-1", "cold-2"].iter().map(|s| (*s).to_string()).collect();
     let (registry, scan) = registry_for(&venues, 41);
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         registry,
         ServerConfig {
             max_batch: 8,
             max_wait: Duration::ZERO,
             queue_capacity: 64,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
@@ -70,7 +83,7 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
         let completions = Arc::clone(&completions);
         let venue_owned = venue.to_string();
         handle
-            .try_submit_with(venue, &scan, move |result| {
+            .try_submit(LocateRequest::new(venue, scan.clone()), move |result| {
                 result.expect("answered");
                 completions.lock().expect("completions").push(venue_owned);
             })
@@ -122,7 +135,7 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
 fn deepest_venue_wins_within_the_max_wait_window() {
     let venues: Vec<String> = ["shallow", "deep"].iter().map(|s| (*s).to_string()).collect();
     let (registry, scan) = registry_for(&venues, 42);
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         registry,
         ServerConfig {
             max_batch: 8,
@@ -131,6 +144,7 @@ fn deepest_venue_wins_within_the_max_wait_window() {
             max_wait: Duration::from_secs(30),
             queue_capacity: 64,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
@@ -141,7 +155,7 @@ fn deepest_venue_wins_within_the_max_wait_window() {
         let completions = Arc::clone(&completions);
         let venue_owned = venue.to_string();
         handle
-            .try_submit_with(venue, &scan, move |result| {
+            .try_submit(LocateRequest::new(venue, scan.clone()), move |result| {
                 result.expect("answered");
                 completions.lock().expect("completions").push(venue_owned);
             })
@@ -206,7 +220,10 @@ fn hot_venue_does_not_starve_fifteen_cold_venues() {
                     let mut served = 0u64;
                     while !stop.load(Ordering::SeqCst) {
                         let tickets: Vec<_> = (0..32)
-                            .map(|_| handle.submit("hot", scan).expect("hot enqueue"))
+                            .map(|_| {
+                                let req = LocateRequest::new("hot", scan.as_slice());
+                                handle.submit(req).expect("hot enqueue")
+                            })
                             .collect();
                         for t in tickets {
                             t.wait().expect("hot answered");
@@ -261,7 +278,7 @@ fn hot_venue_does_not_starve_fifteen_cold_venues() {
 fn venue_cap_and_global_capacity_shed_distinctly() {
     let venues: Vec<String> = ["a", "b", "c", "d", "e"].iter().map(|s| (*s).to_string()).collect();
     let (registry, scan) = registry_for(&venues, 44);
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         registry,
         ServerConfig {
             max_batch: 16,
@@ -269,6 +286,7 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
             queue_capacity: 8,
             venue_capacity: Some(2),
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
@@ -278,7 +296,7 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     // (global capacity still has room).
     let mut tickets = Vec::new();
     for i in 0..4 {
-        match handle.try_submit("a", &scan) {
+        match try_ticket(&handle, "a", &scan) {
             Ok(t) => {
                 assert!(i < 2, "submission {i} beyond the venue cap was accepted");
                 tickets.push(t);
@@ -292,11 +310,11 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     // Venues b, c, d: 2 each — the queue now holds 8 == queue_capacity.
     for venue in ["b", "c", "d"] {
         for _ in 0..2 {
-            tickets.push(handle.try_submit(venue, &scan).expect("fits under both caps"));
+            tickets.push(try_ticket(&handle, venue, &scan).expect("fits under both caps"));
         }
     }
     // Venue "e" has an empty sub-queue, but the *global* capacity is gone.
-    assert_eq!(handle.try_submit("e", &scan).unwrap_err(), ServeError::QueueFull);
+    assert_eq!(try_ticket(&handle, "e", &scan).unwrap_err(), ServeError::QueueFull);
 
     let stats = server.stats();
     assert_eq!(stats.rejected, 3, "aggregate rejected counts both shed causes");
@@ -305,11 +323,11 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     assert_eq!((a.shed_venue, a.shed_global), (2, 0));
     let e = stats.venue("e").expect("venue e tracked");
     assert_eq!((e.shed_venue, e.shed_global), (0, 1));
-    assert_eq!(e.enqueued, 0, "aborted enqueue reverted");
+    assert_eq!(e.enqueued, 0, "a shed request is never enqueued");
 
     server.resume();
     for t in tickets {
-        t.wait().expect("accepted request answered");
+        t.recv().expect("answered").expect("accepted request answered");
     }
     let stats = server.stats();
     server.shutdown();
@@ -325,35 +343,36 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
 fn removing_a_venue_with_queued_requests_fails_them_per_request() {
     let venues: Vec<String> = ["office", "doomed"].iter().map(|s| (*s).to_string()).collect();
     let (registry, scan) = registry_for(&venues, 45);
-    let mut server = LocalizationServer::start_paused(
+    let mut server = LocalizationServer::start(
         Arc::clone(&registry),
         ServerConfig {
             max_batch: 8,
             max_wait: Duration::ZERO,
             queue_capacity: 16,
             workers: 1,
+            start_paused: true,
             ..ServerConfig::default()
         },
     );
     let handle = server.handle();
 
     let doomed: Vec<_> =
-        (0..3).map(|_| handle.try_submit("doomed", &scan).expect("enqueue")).collect();
+        (0..3).map(|_| try_ticket(&handle, "doomed", &scan).expect("enqueue")).collect();
     let office: Vec<_> =
-        (0..2).map(|_| handle.try_submit("office", &scan).expect("enqueue")).collect();
+        (0..2).map(|_| try_ticket(&handle, "office", &scan).expect("enqueue")).collect();
 
     assert!(registry.remove("doomed"), "venue was published");
     server.resume();
 
     for t in doomed {
         assert_eq!(
-            t.wait().unwrap_err(),
+            t.recv().expect("answered").unwrap_err(),
             ServeError::UnknownVenue { venue: "doomed".into() },
             "queued request for the removed venue fails individually"
         );
     }
     for t in office {
-        t.wait().expect("other venues unaffected by the removal");
+        t.recv().expect("answered").expect("other venues unaffected by the removal");
     }
     let stats = server.stats();
     server.shutdown();
@@ -374,17 +393,19 @@ fn exactly_k_shed_ledgers_agree_wire_vs_serve_across_thread_budgets() {
 
     for threads in [1usize, 2, 8] {
         with_threads(threads, || {
-            let inner = LocalizationServer::start_paused(
+            let mut server = NetServer::start(
                 Arc::clone(&registry),
+                "127.0.0.1:0",
                 ServerConfig {
                     max_batch: 16,
                     max_wait: Duration::ZERO,
                     queue_capacity: CAPACITY,
                     workers: 1,
+                    start_paused: true,
                     ..ServerConfig::default()
                 },
-            );
-            let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind");
+            )
+            .expect("bind");
             let mut client = NetClient::connect(server.local_addr()).expect("connect");
             client.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
 

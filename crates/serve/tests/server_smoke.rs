@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, Localizer, SuiteConfig};
-use stone_serve::{LocalizationServer, ModelRegistry, ServerConfig};
+use stone_serve::{LocalizationServer, LocateRequest, ModelRegistry, ServerConfig};
 
 const CLIENTS: usize = 4;
 const SCANS_PER_CLIENT_PER_PHASE: usize = 8;
@@ -75,7 +75,11 @@ fn concurrent_clients_coalesce_and_survive_warm_reload() {
                     // coalescing window), then collect.
                     let tickets: Vec<_> = mine
                         .iter()
-                        .map(|&i| handle.submit("office", &scans[i]).expect("enqueue"))
+                        .map(|&i| {
+                            handle
+                                .submit(LocateRequest::new("office", scans[i].as_slice()))
+                                .expect("enqueue")
+                        })
                         .collect();
                     mine.into_iter()
                         .zip(tickets)
@@ -111,7 +115,11 @@ fn concurrent_clients_coalesce_and_survive_warm_reload() {
                         .collect();
                     let tickets: Vec<_> = mine
                         .iter()
-                        .map(|&i| handle.submit("office", &scans[i]).expect("enqueue"))
+                        .map(|&i| {
+                            handle
+                                .submit(LocateRequest::new("office", scans[i].as_slice()))
+                                .expect("enqueue")
+                        })
                         .collect();
                     mine.into_iter()
                         .zip(tickets)

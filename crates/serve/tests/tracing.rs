@@ -14,7 +14,7 @@ use std::sync::Arc;
 use stone::{KnnMode, StoneBuilder, StoneConfig, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
 use stone_obs::{set_tracing, span_ledger, span_snapshot, Stage};
-use stone_serve::{LocalizationServer, ModelRegistry, ServerConfig};
+use stone_serve::{LocalizationServer, LocateRequest, ModelRegistry, ServerConfig};
 
 fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> stone::StoneLocalizer {
     StoneBuilder::from_config(StoneConfig {
@@ -41,18 +41,20 @@ fn traced_requests_record_balanced_contiguous_stage_spans() {
         ServerConfig { max_batch: 8, ..Default::default() },
     );
     let handle = server.handle();
-    let venue = handle.venue_handle("office");
 
     // Disabled (the default): requests run untraced and touch the ledger
     // not at all.
     let baseline = span_ledger();
-    venue.locate(&suite.train.records()[0].rssi).expect("untraced locate");
+    handle.locate("office", &suite.train.records()[0].rssi).expect("untraced locate");
     assert_eq!(span_ledger(), baseline, "disabled tracing records nothing");
 
     set_tracing(true);
     let (opened0, closed0) = span_ledger();
     let pending: Vec<_> = (0..16)
-        .map(|i| venue.submit(&suite.train.records()[i % 4].rssi).expect("submit"))
+        .map(|i| {
+            let req = LocateRequest::new("office", suite.train.records()[i % 4].rssi.as_slice());
+            handle.submit(req).expect("submit")
+        })
         .collect();
     for p in pending {
         p.wait().expect("traced locate");

@@ -32,7 +32,7 @@ use stone_dataset::{
 use stone_eval::{Experiment, ExperimentReport};
 use stone_par::with_threads;
 use stone_radio::Point2;
-use stone_serve::{LocalizationServer, ModelRegistry, ServerConfig};
+use stone_serve::{LocalizationServer, LocateRequest, ModelRegistry, ServerConfig};
 use stone_tensor::{matmul, matmul_a_bt, matmul_at_b, rng::uniform_tensor, Tensor};
 
 static THREAD_LOCK: Mutex<()> = Mutex::new(());
@@ -239,8 +239,12 @@ fn localization_server_batching_is_deterministic_across_thread_counts() {
                     },
                 );
                 let handle = server.handle();
-                let tickets: Vec<_> =
-                    scans.iter().map(|s| handle.submit("venue", s).expect("enqueue")).collect();
+                let tickets: Vec<_> = scans
+                    .iter()
+                    .map(|s| {
+                        handle.submit(LocateRequest::new("venue", s.as_slice())).expect("enqueue")
+                    })
+                    .collect();
                 tickets.into_iter().map(|t| t.wait().expect("answered").position).collect()
             });
             assert_eq!(answers, direct, "served positions diverged at {nt} threads");
