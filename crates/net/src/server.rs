@@ -92,9 +92,8 @@ struct NetShared {
 
 /// What a reader queues for its connection's writer thread.
 enum Outbound {
-    /// A scan answer, tagged with the protocol version of the request it
-    /// answers (the writer echoes it so a v1 client only sees v1 frames).
-    Response(u8, ScanResponse),
+    /// A scan answer.
+    Response(ScanResponse),
     /// An admin reply body; the writer chunks it
     /// ([`encode_admin_chunks`]) so chunks of one reply are contiguous on
     /// the wire however many queries race.
@@ -370,8 +369,8 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
             drop(tx.send(Outbound::Admin { request_id, text }));
             continue;
         }
-        let (req, version) = match decode_request(&payload) {
-            Ok(decoded) => decoded,
+        let req = match decode_request(&payload) {
+            Ok(req) => req,
             Err(_) => {
                 goodbye(shared, tx);
                 return;
@@ -401,10 +400,10 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
                 }
             };
             // The writer being gone (peer vanished) is not an error.
-            drop(reply_tx.send(Outbound::Response(version, ScanResponse { request_id, result })));
+            drop(reply_tx.send(Outbound::Response(ScanResponse { request_id, result })));
         };
-        // A v3 frame's trace id rides through to the executor's stage
-        // spans; 0 (or an older client) lets the server mint its own.
+        // The frame's trace id rides through to the executor's stage
+        // spans; 0 lets the server mint its own.
         let submitted = shared.handle.try_submit(
             LocateRequest { venue: req.venue, rssi: req.rssi, deadline, trace_id: req.trace_id },
             reply,
@@ -499,15 +498,12 @@ fn trace_text() -> String {
 }
 
 /// Queues the request-id-0 Malformed goodbye that precedes closing a
-/// desynchronized connection. Encoded as the oldest supported protocol
-/// version: a frame that failed to decode carries no trustworthy version
-/// byte, and every client version can parse a v1 response.
+/// desynchronized connection — including one whose frame carried a version
+/// byte other than [`crate::PROTOCOL_VERSION`].
 fn goodbye(shared: &NetShared, tx: &Sender<Outbound>) {
     shared.stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    drop(tx.send(Outbound::Response(
-        crate::codec::MIN_PROTOCOL_VERSION,
-        ScanResponse { request_id: 0, result: Err(WireStatus::Malformed) },
-    )));
+    let resp = ScanResponse { request_id: 0, result: Err(WireStatus::Malformed) };
+    drop(tx.send(Outbound::Response(resp)));
 }
 
 /// Writes response frames in the order answers arrive (completion order),
@@ -531,8 +527,8 @@ fn writer_loop(stream: TcpStream, shared: &Arc<NetShared>, rx: &Receiver<Outboun
             Err(TryRecvError::Disconnected) => break,
         };
         match outbound {
-            Outbound::Response(version, resp) => {
-                if writer.write_all(&encode_response(&resp, version)).is_err() {
+            Outbound::Response(resp) => {
+                if writer.write_all(&encode_response(&resp)).is_err() {
                     break; // peer gone; pending callbacks tolerate the dead channel
                 }
                 shared.stats.responses_written.fetch_add(1, Ordering::Relaxed);

@@ -1,6 +1,7 @@
-//! Wire-level resilience (PR 9): deadline budgets ride the v2 protocol and
-//! expire server-side as wire-visible `DeadlineExceeded`; v1 clients keep
-//! working against a v2 server (answered in v1); the client retry policy
+//! Wire-level resilience: deadline budgets ride the wire and expire
+//! server-side as wire-visible `DeadlineExceeded`; frames in the retired
+//! v1/v2 layouts are refused with the `Malformed` goodbye while other
+//! connections keep being served; the client retry policy
 //! retries sheds with jittered backoff, reconnects through dropped
 //! connections, refuses to retry terminal statuses, and gives up cleanly
 //! when the server is gone; and `NetServer::shutdown` is idempotent,
@@ -12,9 +13,10 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use stone_net::codec::{decode_response, encode_request_v1, FrameBuffer};
+use stone_dataset::Localizer;
+use stone_net::codec::{decode_response, encode_request, FrameBuffer};
 use stone_net::{
-    ClientError, NetClient, NetServer, RetryPolicy, ScanRequest, WireStatus, MIN_PROTOCOL_VERSION,
+    ClientError, NetClient, NetServer, RetryPolicy, ScanRequest, WireStatus, PROTOCOL_VERSION,
 };
 use stone_par::with_threads;
 use stone_serve::ServerConfig;
@@ -25,7 +27,7 @@ fn quick_config() -> ServerConfig {
     ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
 }
 
-/// A v2 request's deadline budget is honored end to end: queued past its
+/// A request's deadline budget is honored end to end: queued past its
 /// budget on a paused server, it comes back `DeadlineExceeded` while an
 /// unbudgeted request submitted alongside it is answered. Pinned across
 /// `STONE_THREADS` ∈ {1, 2, 8}.
@@ -66,42 +68,67 @@ fn wire_deadline_budget_expires_server_side() {
     }
 }
 
-/// A protocol-v1 client (no deadline field) still gets served by a v2
-/// server — and is answered in v1, its own version.
+/// Frames in the retired v1 and v2 layouts are refused: each connection
+/// gets the request-id-0 `Malformed` goodbye, encoded as the current
+/// version, then EOF — and a current client on another connection is still
+/// answered bitwise-equal to a direct in-process `locate`.
 #[test]
-fn v1_clients_interoperate_with_v2_server() {
+fn old_protocol_versions_get_the_malformed_goodbye() {
     let (registry, suite) = common::office_registry(22);
+    let snapshot = registry.snapshot("office").expect("published");
     let scan = suite.train.records()[0].rssi.clone();
     let mut server =
         NetServer::start(registry, "127.0.0.1:0", quick_config()).expect("bind ephemeral port");
 
-    let frame = encode_request_v1(&ScanRequest {
+    let v3 = encode_request(&ScanRequest {
         request_id: 7,
-        deadline_us: 0, // not on the v1 wire
-        trace_id: 0,    // nor this
+        deadline_us: 0,
+        trace_id: 0,
         venue: "office".into(),
-        rssi: scan,
+        rssi: scan.clone(),
     })
     .expect("within caps");
-
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
-    stream.write_all(&frame).expect("send v1 frame");
-
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 4096];
-    let payload = loop {
-        if let Some(p) = fb.next_payload().expect("well-formed response stream") {
-            break p;
-        }
-        let n = stream.read(&mut buf).expect("read");
-        assert!(n > 0, "server closed before answering");
-        fb.push_bytes(&buf[..n]);
+    // Payload layout: version, kind, request id (8 B), deadline (4 B, v2+),
+    // trace id (8 B, v3), then the venue and the RSSI vector. An old frame
+    // is the v3 frame minus the fields its version never had.
+    let old_frame = |version: u8, cut: std::ops::Range<usize>| {
+        let mut payload = v3[4..].to_vec();
+        payload[0] = version;
+        payload.drain(cut);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame
     };
-    assert_eq!(payload[0], MIN_PROTOCOL_VERSION, "v1 requests are answered in v1");
-    let resp = decode_response(&payload).expect("decodes");
-    assert_eq!(resp.request_id, 7);
-    assert!(resp.result.is_ok(), "v1 request is served");
+    for frame in [old_frame(1, 10..22), old_frame(2, 14..22)] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+        stream.write_all(&frame).expect("send old frame");
+
+        let mut fb = FrameBuffer::new();
+        let mut buf = [0u8; 4096];
+        let payload = loop {
+            if let Some(p) = fb.next_payload().expect("well-formed goodbye") {
+                break p;
+            }
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "EOF before the Malformed goodbye");
+            fb.push_bytes(&buf[..n]);
+        };
+        assert_eq!(payload[0], PROTOCOL_VERSION, "the goodbye is a current-version frame");
+        let goodbye = decode_response(&payload).expect("goodbye decodes");
+        assert_eq!(goodbye.request_id, 0);
+        assert_eq!(goodbye.result, Err(WireStatus::Malformed));
+        assert_eq!(fb.pending_bytes(), 0, "nothing follows the goodbye");
+        assert_eq!(stream.read(&mut buf).expect("read EOF"), 0, "connection closes after goodbye");
+    }
+    assert_eq!(server.stats().malformed_frames, 2);
+
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+    let pos = client.locate("office", &scan).expect("current client is served");
+    let direct = snapshot.model().locate(&scan);
+    assert_eq!((pos.x.to_bits(), pos.y.to_bits()), (direct.x.to_bits(), direct.y.to_bits()));
+    assert_eq!(pos.model_version, snapshot.version());
     server.shutdown();
 }
 

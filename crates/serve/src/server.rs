@@ -80,7 +80,7 @@ pub enum ServeError {
     /// The request's deadline expired while it was still queued. The
     /// scheduler drops expired requests at collect time — they never occupy
     /// a batch slot or reach the model. Only requests submitted with a
-    /// [`LocateRequest::deadline`] (a v2+ wire request with a non-zero
+    /// [`LocateRequest::deadline`] (a wire request with a non-zero
     /// budget, for one) can fail this way.
     DeadlineExceeded {
         /// The venue the expired request targeted.

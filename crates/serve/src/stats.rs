@@ -26,18 +26,14 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use stone_obs::metrics::{write_pow2_histogram, write_sample, write_type, HIST_BUCKETS};
+use stone_obs::metrics::{
+    pow2_bucket, write_pow2_histogram, write_sample, write_type, HIST_BUCKETS,
+};
 
 /// Number of power-of-two latency buckets (2^39 µs ≈ 6.4 days — anything
 /// above clamps into the last bucket). Pinned to the `stone-obs` histogram
 /// width so snapshots render through the shared exposition helpers.
 const LATENCY_BUCKETS: usize = HIST_BUCKETS;
-
-/// Index of the power-of-two microsecond bucket a latency falls into.
-fn latency_bucket(latency: Duration) -> usize {
-    let micros = latency.as_micros().max(1) as u64;
-    (63 - micros.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-}
 
 /// The `q`-quantile of a power-of-two bucket histogram, interpolated
 /// within the bucket by rank. Shared by the aggregate and per-venue views.
@@ -185,7 +181,8 @@ impl VenueStats {
     pub(crate) fn record_completed(&self, latency: Duration) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_hist[latency_bucket(latency)].fetch_add(1, Ordering::Relaxed);
+        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        self.latency_hist[pow2_bucket(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self, venue: &str) -> VenueStatsSnapshot {

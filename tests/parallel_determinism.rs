@@ -26,8 +26,7 @@ use rand::SeedableRng;
 use stone::{EmbeddingKnn, KnnMode, StoneBuilder, StoneConfig, TrainerConfig};
 use stone_baselines::{KnnBuilder, LtKnnBuilder};
 use stone_dataset::{
-    basement_plan, office_plan, office_suite, uji_plan, uji_suite, Framework, Localizer,
-    LongTermSuite, RpId, SuiteConfig, SuitePlan,
+    basement_suite, office_suite, uji_suite, Framework, Localizer, LongTermSuite, RpId, SuiteConfig,
 };
 use stone_eval::{Experiment, ExperimentReport};
 use stone_par::with_threads;
@@ -319,14 +318,15 @@ fn suite_fingerprint(s: &LongTermSuite) -> SuiteBytes {
 #[test]
 fn sharded_suite_generation_is_bitwise_identical_across_thread_counts() {
     let _g = lock();
-    // Property over both suite families and two seeds each: the sharded
-    // generator (per-RP survey streams + per-bucket streams) must emit the
-    // same bytes at STONE_THREADS ∈ {1, 2, 8}.
+    // Property over all three suite families and two seeds each: the
+    // sharded generator (per-RP survey streams + per-bucket streams) must
+    // emit the same bytes at STONE_THREADS ∈ {1, 2, 8}.
     type SuiteBuilder = Box<dyn Fn() -> LongTermSuite>;
     for seed in [7, 91] {
-        let builders: [(&str, SuiteBuilder); 2] = [
+        let builders: [(&str, SuiteBuilder); 3] = [
             ("uji", Box::new(move || uji_suite(&SuiteConfig::tiny(seed)))),
             ("office", Box::new(move || office_suite(&SuiteConfig::tiny(seed)))),
+            ("basement", Box::new(move || basement_suite(&SuiteConfig::tiny(seed)))),
         ];
         for (name, build) in builders {
             let baseline = with_threads(1, || suite_fingerprint(&build()));
@@ -338,28 +338,6 @@ fn sharded_suite_generation_is_bitwise_identical_across_thread_counts() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn streamed_bucket_equals_materialized_twin_at_any_thread_count() {
-    let _g = lock();
-    let cfg = SuiteConfig::tiny(23);
-    let plans: [(&str, SuitePlan); 3] =
-        [("uji", uji_plan(&cfg)), ("office", office_plan(&cfg)), ("basement", basement_plan(&cfg))];
-    for (name, plan) in plans {
-        // Materialize in parallel; stream serially (and at 8 threads) —
-        // every bucket must be byte-identical either way.
-        let built = with_threads(8, || plan.build());
-        for nt in THREAD_COUNTS {
-            let streamed: Vec<_> = with_threads(nt, || plan.buckets_iter().collect());
-            assert_eq!(streamed, built.buckets, "{name} streamed diverged at {nt} threads");
-        }
-        assert_eq!(
-            with_threads(1, || plan.train().records().to_vec()),
-            built.train.records(),
-            "{name} survey diverged"
-        );
     }
 }
 
